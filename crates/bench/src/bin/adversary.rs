@@ -71,18 +71,22 @@ fn check(tag: &str, base: &AdversaryResult, atk: &AdversaryResult) {
             &atk.flight,
         );
     }
-    let metric_total = atk
-        .metrics_snapshot
-        .iter()
-        .find(|(k, _)| k == "server.violations.total")
-        .map(|(_, v)| *v)
-        .unwrap_or(0);
-    if metric_total != atk.violations {
+    // The per-kind violation series must account for every violation
+    // the total counted: a sanitizer path that bumps the total but
+    // forgets its kind (or the reverse) trips this.
+    let (mut total, mut per_kind) = (0, 0);
+    for (k, v) in &atk.metrics_snapshot {
+        match k.strip_prefix("server.violations.") {
+            Some("total") => total = *v,
+            Some(_) => per_kind += v,
+            None => {}
+        }
+    }
+    if total != per_kind {
         fail(
             tag,
             &format!(
-                "server stats count {} violations but the metrics registry says {}",
-                atk.violations, metric_total
+                "server.violations.total is {total} but the per-kind series sum to {per_kind}"
             ),
             &atk.flight,
         );

@@ -95,6 +95,11 @@ impl Raid0 {
         Raid0::new((0..8).map(|i| Disk::scsi_30mb(sim, i)).collect(), 64 * 1024)
     }
 
+    /// The simulation the member disks run in.
+    pub(crate) fn sim(&self) -> Sim {
+        self.disks[0].arm.sim()
+    }
+
     /// Number of member disks.
     pub fn width(&self) -> usize {
         self.disks.len()

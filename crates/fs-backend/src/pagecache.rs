@@ -73,23 +73,17 @@ pub struct PageCache {
     hits: Cell<u64>,
     misses: Cell<u64>,
     writebacks: Cell<u64>,
-    ra_windows: Cell<u64>,
-    ra_pages: Cell<u64>,
-    ra_sequential: Cell<u64>,
-    metrics: RefCell<Option<RaMetrics>>,
-}
-
-/// Registry counters mirroring the readahead statistics.
-struct RaMetrics {
-    windows: Rc<Counter>,
-    pages: Rc<Counter>,
-    sequential: Rc<Counter>,
+    /// This cache's instances of the `pagecache.readahead.*` series.
+    ra_windows: Rc<Counter>,
+    ra_pages: Rc<Counter>,
+    ra_sequential: Rc<Counter>,
 }
 
 impl PageCache {
     /// A cache of `capacity_bytes` RAM in `page_size` units over `raid`.
     pub fn new(raid: Raid0, capacity_bytes: u64, page_size: u64) -> PageCache {
         assert!(page_size.is_power_of_two());
+        let metrics = raid.sim().metrics();
         PageCache {
             raid,
             page_size,
@@ -104,10 +98,9 @@ impl PageCache {
             hits: Cell::new(0),
             misses: Cell::new(0),
             writebacks: Cell::new(0),
-            ra_windows: Cell::new(0),
-            ra_pages: Cell::new(0),
-            ra_sequential: Cell::new(0),
-            metrics: RefCell::new(None),
+            ra_windows: metrics.instance("pagecache.readahead.windows"),
+            ra_pages: metrics.instance("pagecache.readahead.pages"),
+            ra_sequential: metrics.instance("pagecache.readahead.sequential"),
         }
     }
 
@@ -119,16 +112,6 @@ impl PageCache {
     /// Set the readahead window (clamped to at least one page).
     pub fn set_readahead(&self, pages: u64) {
         self.readahead_pages.set(pages.max(1));
-    }
-
-    /// Mirror readahead statistics into the shared metrics registry as
-    /// `pagecache.readahead.{windows,pages,sequential}`.
-    pub fn bind_metrics(&self, metrics: &sim_core::MetricsRegistry) {
-        *self.metrics.borrow_mut() = Some(RaMetrics {
-            windows: metrics.counter("pagecache.readahead.windows"),
-            pages: metrics.counter("pagecache.readahead.pages"),
-            sequential: metrics.counter("pagecache.readahead.sequential"),
-        });
     }
 
     /// Readahead windows issued (miss fetches that pulled more than the
@@ -186,10 +169,7 @@ impl PageCache {
         // readahead window exists to serve).
         let sequential = self.next_expected.borrow().get(&file.0) == Some(&first);
         if sequential {
-            self.ra_sequential.set(self.ra_sequential.get() + 1);
-            if let Some(m) = self.metrics.borrow().as_ref() {
-                m.sequential.inc();
-            }
+            self.ra_sequential.inc();
         }
         self.next_expected.borrow_mut().insert(file.0, last + 1);
         let mut page = first;
@@ -217,12 +197,8 @@ impl PageCache {
             let demanded = (last.min(page + run - 1) - page) + 1;
             self.misses.set(self.misses.get() + demanded);
             if run > demanded {
-                self.ra_windows.set(self.ra_windows.get() + 1);
-                self.ra_pages.set(self.ra_pages.get() + (run - demanded));
-                if let Some(m) = self.metrics.borrow().as_ref() {
-                    m.windows.inc();
-                    m.pages.add(run - demanded);
-                }
+                self.ra_windows.inc();
+                self.ra_pages.add(run - demanded);
             }
             self.evict_for(run).await;
             self.raid

@@ -20,7 +20,7 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 use std::task::Waker;
 
-use sim_core::{Counter, Cpu, Payload, Sim, SimDuration};
+use sim_core::{Counter, Cpu, MetricsRegistry, Payload, Sim, SimDuration};
 
 use crate::types::{Opcode, VerbsError, WrId};
 
@@ -49,17 +49,14 @@ struct CqInner {
     queue: VecDeque<Completion>,
     waker: Option<Waker>,
     pushed: u64,
-    interrupts: u64,
+    interrupts: Rc<Counter>,
     /// Completions that rode an interrupt another completion paid for
     /// (everything beyond the first drained per parked wakeup).
-    coalesced: u64,
+    coalesced: Rc<Counter>,
     /// Generation of the armed moderation timer; bumping it cancels the
     /// in-flight timer without tracking the task.
     timer_gen: u64,
     timer_armed: bool,
-    /// Shared registry counters (bound by the owning HCA).
-    interrupts_metric: Option<Rc<Counter>>,
-    coalesced_metric: Option<Rc<Counter>>,
 }
 
 impl CqInner {
@@ -96,12 +93,10 @@ impl Cq {
                 queue: VecDeque::new(),
                 waker: None,
                 pushed: 0,
-                interrupts: 0,
-                coalesced: 0,
+                interrupts: Rc::default(),
+                coalesced: Rc::default(),
                 timer_gen: 0,
                 timer_armed: false,
-                interrupts_metric: None,
-                coalesced_metric: None,
             })),
             cpu,
             coalesce_count: 1,
@@ -124,12 +119,12 @@ impl Cq {
         cq
     }
 
-    /// Report interrupt/coalescing totals into shared registry counters
-    /// (in addition to the per-CQ accessors).
-    pub fn bind_metrics(&self, interrupts: Rc<Counter>, coalesced: Rc<Counter>) {
-        let mut inner = self.inner.borrow_mut();
-        inner.interrupts_metric = Some(interrupts);
-        inner.coalesced_metric = Some(coalesced);
+    /// Report this CQ's interrupt/coalescing counts in the registry's
+    /// `cq.interrupts` / `cq.coalesced` series.
+    pub fn bind_metrics(&self, registry: &MetricsRegistry) {
+        let inner = self.inner.borrow();
+        registry.register("cq.interrupts", &inner.interrupts);
+        registry.register("cq.coalesced", &inner.coalesced);
     }
 
     /// Deliver a completion (called by the HCA).
@@ -192,18 +187,11 @@ impl Cq {
         })
         .await;
         {
-            let mut inner = self.inner.borrow_mut();
-            inner.interrupts += 1;
-            if let Some(m) = &inner.interrupts_metric {
-                m.inc();
-            }
-            let extra = inner.queue.len().saturating_sub(1) as u64;
-            inner.coalesced += extra;
-            if extra > 0 {
-                if let Some(m) = &inner.coalesced_metric {
-                    m.add(extra);
-                }
-            }
+            let inner = self.inner.borrow();
+            inner.interrupts.inc();
+            inner
+                .coalesced
+                .add(inner.queue.len().saturating_sub(1) as u64);
         }
         self.cpu.interrupt().await;
         self.poll().expect("completion vanished after wake")
@@ -216,12 +204,12 @@ impl Cq {
 
     /// Interrupts taken by consumers of this CQ.
     pub fn interrupts(&self) -> u64 {
-        self.inner.borrow().interrupts
+        self.inner.borrow().interrupts.get()
     }
 
     /// Completions that shared an interrupt another completion paid for.
     pub fn coalesced(&self) -> u64 {
-        self.inner.borrow().coalesced
+        self.inner.borrow().coalesced.get()
     }
 
     /// Outstanding (unconsumed) completions.

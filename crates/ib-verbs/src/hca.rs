@@ -89,7 +89,7 @@ impl Hca {
         // The security ledger's violation/revocation counters feed the
         // shared `tpt.*` registry series from day one, so chaos and
         // adversary snapshots always carry them.
-        let mut tpt = Tpt::new(sim.fork_rng());
+        let tpt = Tpt::new(sim.fork_rng());
         tpt.bind_metrics(&sim.metrics());
         let hca = Hca {
             inner: Rc::new(HcaInner {
@@ -285,11 +285,7 @@ impl Hca {
             self.inner.cfg.cq_coalesce_count,
             self.inner.cfg.cq_coalesce_delay,
         );
-        let metrics = self.inner.sim.metrics();
-        cq.bind_metrics(
-            metrics.counter("cq.interrupts"),
-            metrics.counter("cq.coalesced"),
-        );
+        cq.bind_metrics(&self.inner.sim.metrics());
         cq
     }
 

@@ -13,6 +13,7 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use sim_core::stats::Counter;
+use sim_core::MetricsRegistry;
 
 use crate::memory::Buffer;
 use crate::qp::PostedRecv;
@@ -21,15 +22,11 @@ use crate::types::{VerbsError, WrId};
 struct SrqInner {
     queue: RefCell<VecDeque<PostedRecv>>,
     /// Buffers consumed by arrivals (diagnostic).
-    consumed: Cell<u64>,
+    consumed: Rc<Counter>,
     /// Low-water notification threshold.
     limit: Cell<usize>,
     /// Times the queue dipped below the limit after a pop.
-    limit_events: Cell<u64>,
-    /// Registry mirrors of `consumed` / `limit_events`, when bound:
-    /// the pool's burn rate and low-water pressure become visible in
-    /// metric snapshots without polling the private cells.
-    metrics: RefCell<Option<(Rc<Counter>, Rc<Counter>)>>,
+    limit_events: Rc<Counter>,
 }
 
 /// A shared receive queue; attach to QPs at connect time.
@@ -50,10 +47,9 @@ impl Srq {
         Srq {
             inner: Rc::new(SrqInner {
                 queue: RefCell::new(VecDeque::new()),
-                consumed: Cell::new(0),
+                consumed: Rc::default(),
                 limit: Cell::new(0),
-                limit_events: Cell::new(0),
-                metrics: RefCell::new(None),
+                limit_events: Rc::default(),
             }),
         }
     }
@@ -100,29 +96,20 @@ impl Srq {
         self.inner.limit_events.get()
     }
 
-    /// Mirror `consumed` / `limit_events` onto registry counters
-    /// (conventionally `hca.srq.consumed` / `hca.srq.limit_events`).
-    /// Increments happen at pop time, so the registry stays exact
-    /// without any sampling task.
-    pub fn bind_metrics(&self, consumed: Rc<Counter>, limit_events: Rc<Counter>) {
-        *self.inner.metrics.borrow_mut() = Some((consumed, limit_events));
+    /// Report `consumed` / `limit_events` in the registry's
+    /// `hca.srq.consumed` / `hca.srq.limit_events` series: the pool's
+    /// burn rate and low-water pressure show up in metric snapshots.
+    pub fn bind_metrics(&self, registry: &MetricsRegistry) {
+        registry.register("hca.srq.consumed", &self.inner.consumed);
+        registry.register("hca.srq.limit_events", &self.inner.limit_events);
     }
 
     pub(crate) fn pop(&self) -> Option<PostedRecv> {
         let r = self.inner.queue.borrow_mut().pop_front();
         if r.is_some() {
-            self.inner.consumed.set(self.inner.consumed.get() + 1);
-            let dipped = self.inner.queue.borrow().len() < self.inner.limit.get();
-            if dipped {
-                self.inner
-                    .limit_events
-                    .set(self.inner.limit_events.get() + 1);
-            }
-            if let Some((consumed, limit_events)) = self.inner.metrics.borrow().as_ref() {
-                consumed.inc();
-                if dipped {
-                    limit_events.inc();
-                }
+            self.inner.consumed.inc();
+            if self.inner.queue.borrow().len() < self.inner.limit.get() {
+                self.inner.limit_events.inc();
             }
         }
         r
@@ -145,10 +132,7 @@ mod tests {
         }
         srq.set_limit(2);
         let registry = sim_core::MetricsRegistry::new();
-        srq.bind_metrics(
-            registry.counter("hca.srq.consumed"),
-            registry.counter("hca.srq.limit_events"),
-        );
+        srq.bind_metrics(&registry);
         for _ in 0..3 {
             assert!(srq.pop().is_some());
         }

@@ -75,15 +75,8 @@ pub struct Tpt {
     global_enabled: bool,
     closed_byte_ns: u128,
     exposures: u64,
-    violations: u64,
-    revocations: u64,
-    /// Registry-backed mirrors of the ledger counters (shared series
-    /// across every HCA in the simulation), bound by
-    /// [`Tpt::bind_metrics`].
-    metrics: Option<TptMetrics>,
-}
-
-struct TptMetrics {
+    /// Ledger counters; [`Tpt::bind_metrics`] reports them in the
+    /// registry's `tpt.*` series.
     violations: Rc<Counter>,
     revocations: Rc<Counter>,
 }
@@ -100,39 +93,26 @@ impl Tpt {
             global_enabled: false,
             closed_byte_ns: 0,
             exposures: 0,
-            violations: 0,
-            revocations: 0,
-            metrics: None,
+            violations: Rc::default(),
+            revocations: Rc::default(),
         }
     }
 
-    /// Mirror the ledger's violation/revocation counters onto the
+    /// Report the ledger's violation/revocation counters in the
     /// simulation's metrics registry (`tpt.violations`,
-    /// `tpt.revocations`). Counters are shared by name, so every HCA
-    /// in a simulation feeds the same series and `chaos`/`adversary`
-    /// snapshots carry them without extra plumbing.
-    pub fn bind_metrics(&mut self, registry: &MetricsRegistry) {
-        self.metrics = Some(TptMetrics {
-            violations: registry.counter("tpt.violations"),
-            revocations: registry.counter("tpt.revocations"),
-        });
-    }
-
-    fn count_violation(&mut self) {
-        self.violations += 1;
-        if let Some(m) = &self.metrics {
-            m.violations.inc();
-        }
+    /// `tpt.revocations`). Every HCA in a simulation feeds the same
+    /// series, so `chaos`/`adversary` snapshots carry them without
+    /// extra plumbing.
+    pub fn bind_metrics(&self, registry: &MetricsRegistry) {
+        registry.register("tpt.violations", &self.violations);
+        registry.register("tpt.revocations", &self.revocations);
     }
 
     /// Record a forced invalidation that bypasses the TPT (all-physical
     /// registrations have no entry to remove; the pinning still had to
     /// be torn down by policy).
     pub fn note_revocation(&mut self) {
-        self.revocations += 1;
-        if let Some(m) = &self.metrics {
-            m.revocations.inc();
-        }
+        self.revocations.inc();
     }
 
     /// Force-invalidate an entry by policy (TTL expiry, quarantine):
@@ -250,7 +230,7 @@ impl Tpt {
                     Ok((buf, off))
                 }
                 None => {
-                    self.count_violation();
+                    self.violations.inc();
                     Err(VerbsError::RemoteAccess {
                         rkey,
                         reason: "global rkey: address not mapped",
@@ -259,14 +239,14 @@ impl Tpt {
             };
         }
         let Some(e) = self.entries.get(&rkey.0) else {
-            self.count_violation();
+            self.violations.inc();
             return Err(VerbsError::RemoteAccess {
                 rkey,
                 reason: "no such steering tag",
             });
         };
         if addr < e.base || addr + len > e.base + e.len {
-            self.count_violation();
+            self.violations.inc();
             return Err(VerbsError::RemoteAccess {
                 rkey,
                 reason: "out of registered bounds",
@@ -277,7 +257,7 @@ impl Tpt {
             RemoteOp::Write => e.access.allows_remote_write(),
         };
         if !allowed {
-            self.count_violation();
+            self.violations.inc();
             return Err(VerbsError::RemoteAccess {
                 rkey,
                 reason: "access rights do not permit operation",
@@ -302,8 +282,8 @@ impl Tpt {
             byte_ns,
             current_bytes: current,
             exposures: self.exposures,
-            violations: self.violations,
-            revocations: self.revocations,
+            violations: self.violations.get(),
+            revocations: self.revocations.get(),
         }
     }
 

@@ -32,7 +32,7 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use bytes::Bytes;
-use rpcrdma::{LogRing, RdmaRpcServer, ReplError, RingTarget, Shipper, RING_SENTINEL};
+use rpcrdma::{max_record, LogRing, RdmaRpcServer, ReplError, RingTarget, Shipper, RING_SENTINEL};
 use sim_core::sync::{Notify, SemPermit, Semaphore};
 use sim_core::{Payload, Sim, TraceCtx};
 
@@ -222,13 +222,16 @@ pub struct Replicator {
     /// Snapshot of the local WAL's committed-record count, taken at
     /// marker append time (inside the lock, after the group commit).
     wal_cut: RefCell<Option<Box<dyn Fn() -> u64>>>,
+    /// Largest encoded record the backup's log ring accepts.
+    max_record: u64,
     /// Statistics.
     pub stats: ReplicatorStats,
 }
 
 impl Replicator {
-    /// A detached (logging-only) replicator at epoch 0.
-    pub fn new() -> Rc<Replicator> {
+    /// A detached (logging-only) replicator at epoch 0 whose records
+    /// ship into backup log rings of `ring_bytes`.
+    pub fn new(ring_bytes: u64) -> Rc<Replicator> {
         Rc::new(Replicator {
             shipper: RefCell::new(None),
             lock: Semaphore::new(1),
@@ -236,8 +239,19 @@ impl Replicator {
             durable: Cell::new(0),
             epoch: Cell::new(0),
             wal_cut: RefCell::new(None),
+            max_record: max_record(ring_bytes),
             stats: ReplicatorStats::default(),
         })
+    }
+
+    /// Whether the record of a mutation with `args`, `reply_head` and
+    /// `bulk` bytes fits the backup's log ring. A mutation whose record
+    /// would not fit must be refused before it is applied: it could
+    /// never be shipped (nor re-shipped by a rejoin resync), so the
+    /// backup would silently diverge from the primary.
+    pub fn fits(&self, args: u64, reply_head: u64, bulk: u64, traced: bool) -> bool {
+        let trailer = if traced { TRACE_TRAILER } else { 0 };
+        RECORD_HDR + args + reply_head + bulk + trailer <= self.max_record
     }
 
     /// Install (or clear) the shipping channel to the backup.

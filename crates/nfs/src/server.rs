@@ -324,6 +324,13 @@ impl NfsServer {
                 let id = Self::fid(head.file);
                 let n = data.len();
                 if let Some(r) = &repl {
+                    // The write size is the client's choice: refuse one
+                    // whose replication record the backup's ring cannot
+                    // take, before it touches the primary's file.
+                    let traced = trace.trace_id != 0;
+                    if !r.fits(args.len() as u64, WRITE_OK_HEAD_LEN, n, traced) {
+                        return ok(encode_res(NfsStat::Inval, |_| {}));
+                    }
                     // Content-preserving capture for the backup ship.
                     repl_bulk = Some(data.to_payload());
                     if head.stable {
@@ -352,14 +359,16 @@ impl NfsServer {
                         }
                         let attr = fs.getattr(id).map_err(|_| AcceptStat::GarbageArgs)?;
                         debug_assert_eq!(written, n);
-                        ok(encode_res(NfsStat::Ok, |e| {
+                        let head = encode_res(NfsStat::Ok, |e| {
                             WriteRes {
                                 attr: Fattr::from_attr(&attr),
                                 count: written as u32,
                                 verf: self.verf.get(),
                             }
                             .encode(e)
-                        }))
+                        });
+                        debug_assert_eq!(head.len() as u64, WRITE_OK_HEAD_LEN);
+                        ok(head)
                     }
                     Err(e) => ok(encode_res(e.into(), |_| {})),
                 }
@@ -538,6 +547,10 @@ impl NfsServer {
         result
     }
 }
+
+/// Length of a successful WRITE's reply head: status, fattr3 (84
+/// bytes), count and verifier are all fixed-width.
+const WRITE_OK_HEAD_LEN: u64 = 4 + 84 + 4 + 8;
 
 /// Clonable handle registering the server with either transport.
 #[derive(Clone)]

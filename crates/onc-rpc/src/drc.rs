@@ -48,26 +48,15 @@ enum Entry<V> {
     Done(V),
 }
 
-/// Registry handles mirroring the cache's statistics (see
-/// [`DuplicateRequestCache::bind_metrics`]).
-struct DrcMetrics {
-    hits: Rc<Counter>,
-    waits: Rc<Counter>,
-    inserts: Rc<Counter>,
-    evictions: Rc<Counter>,
-}
-
 struct DrcInner<V> {
     entries: HashMap<DrcKey, Entry<V>>,
     /// Completed keys, least recently touched first.
     order: VecDeque<DrcKey>,
     capacity: usize,
-    hits: u64,
-    waits: u64,
-    inserts: u64,
-    evictions: u64,
-    /// When bound, every statistic bump mirrors into the registry.
-    metrics: Option<DrcMetrics>,
+    hits: Rc<Counter>,
+    waits: Rc<Counter>,
+    inserts: Rc<Counter>,
+    evictions: Rc<Counter>,
 }
 
 /// A bounded, XID-keyed duplicate request cache (cheap to clone).
@@ -129,11 +118,10 @@ impl<V: Clone> DuplicateRequestCache<V> {
                 entries: HashMap::new(),
                 order: VecDeque::new(),
                 capacity: capacity.max(1),
-                hits: 0,
-                waits: 0,
-                inserts: 0,
-                evictions: 0,
-                metrics: None,
+                hits: Rc::default(),
+                waits: Rc::default(),
+                inserts: Rc::default(),
+                evictions: Rc::default(),
             })),
         }
     }
@@ -141,21 +129,13 @@ impl<V: Clone> DuplicateRequestCache<V> {
     /// Register this cache's statistics under `prefix` (e.g.
     /// `server.drc`) in `registry`, yielding `prefix.hits`,
     /// `prefix.waits`, `prefix.inserts`, `prefix.evictions`. Bumps made
-    /// before binding are carried over.
+    /// before binding are reported too.
     pub fn bind_metrics(&self, registry: &MetricsRegistry, prefix: &str) {
-        let mut g = self.inner.borrow_mut();
-        let m = DrcMetrics {
-            hits: registry.counter(&format!("{prefix}.hits")),
-            waits: registry.counter(&format!("{prefix}.waits")),
-            inserts: registry.counter(&format!("{prefix}.inserts")),
-            evictions: registry.counter(&format!("{prefix}.evictions")),
-        };
-        m.hits.add(g.hits.saturating_sub(m.hits.get()));
-        m.waits.add(g.waits.saturating_sub(m.waits.get()));
-        m.inserts.add(g.inserts.saturating_sub(m.inserts.get()));
-        m.evictions
-            .add(g.evictions.saturating_sub(m.evictions.get()));
-        g.metrics = Some(m);
+        let g = self.inner.borrow();
+        registry.register(&format!("{prefix}.hits"), &g.hits);
+        registry.register(&format!("{prefix}.waits"), &g.waits);
+        registry.register(&format!("{prefix}.inserts"), &g.inserts);
+        registry.register(&format!("{prefix}.evictions"), &g.evictions);
     }
 
     /// Admit an arriving call.
@@ -164,10 +144,7 @@ impl<V: Clone> DuplicateRequestCache<V> {
         match g.entries.get_mut(&key) {
             Some(Entry::Done(v)) => {
                 let v = v.clone();
-                g.hits += 1;
-                if let Some(m) = &g.metrics {
-                    m.hits.inc();
-                }
+                g.hits.inc();
                 // Touch: a replayed entry is hot again.
                 if let Some(pos) = g.order.iter().position(|k| *k == key) {
                     g.order.remove(pos);
@@ -178,10 +155,7 @@ impl<V: Clone> DuplicateRequestCache<V> {
             Some(Entry::InProgress(waiters)) => {
                 let (tx, rx) = oneshot();
                 waiters.push(tx);
-                g.waits += 1;
-                if let Some(m) = &g.metrics {
-                    m.waits.inc();
-                }
+                g.waits.inc();
                 DrcOutcome::InProgress(rx)
             }
             None => {
@@ -204,17 +178,11 @@ impl<V: Clone> DuplicateRequestCache<V> {
             }
         }
         g.order.push_back(key);
-        g.inserts += 1;
-        if let Some(m) = &g.metrics {
-            m.inserts.inc();
-        }
+        g.inserts.inc();
         while g.order.len() > g.capacity {
             if let Some(victim) = g.order.pop_front() {
                 g.entries.remove(&victim);
-                g.evictions += 1;
-                if let Some(m) = &g.metrics {
-                    m.evictions.inc();
-                }
+                g.evictions.inc();
             }
         }
     }
@@ -230,10 +198,7 @@ impl<V: Clone> DuplicateRequestCache<V> {
             return None;
         };
         let v = v.clone();
-        g.hits += 1;
-        if let Some(m) = &g.metrics {
-            m.hits.inc();
-        }
+        g.hits.inc();
         if let Some(pos) = g.order.iter().position(|k| *k == key) {
             g.order.remove(pos);
             g.order.push_back(key);
@@ -276,22 +241,22 @@ impl<V: Clone> DuplicateRequestCache<V> {
 
     /// Replays served from completed entries.
     pub fn hits(&self) -> u64 {
-        self.inner.borrow().hits
+        self.inner.borrow().hits.get()
     }
 
     /// Duplicates that parked on an in-progress entry.
     pub fn waits(&self) -> u64 {
-        self.inner.borrow().waits
+        self.inner.borrow().waits.get()
     }
 
     /// Replies published into the cache.
     pub fn inserts(&self) -> u64 {
-        self.inner.borrow().inserts
+        self.inner.borrow().inserts.get()
     }
 
     /// Completed entries discarded by the LRU bound.
     pub fn evictions(&self) -> u64 {
-        self.inner.borrow().evictions
+        self.inner.borrow().evictions.get()
     }
 }
 
@@ -388,8 +353,8 @@ mod tests {
         assert_eq!(reg.get("server.drc.inserts"), Some(1));
         assert_eq!(reg.get("server.drc.hits"), Some(1));
 
-        // Bumps after binding land in both places; the third insert
-        // overflows capacity 2 and evicts.
+        // Bumps after binding are seen by both the cache and the
+        // registry; the third insert overflows capacity 2 and evicts.
         for xid in 2..=3 {
             let DrcOutcome::New(slot) = drc.begin(k(xid)) else {
                 panic!()

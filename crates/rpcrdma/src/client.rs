@@ -60,40 +60,67 @@ pub struct CallReply {
     pub bulk: Option<Payload>,
 }
 
-/// Client-side transport statistics.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ClientStats {
+/// Declares [`ClientStats`] together with the per-endpoint registry
+/// handles it is read from: each field names its `client.*` series once.
+macro_rules! client_stats {
+    ($($(#[doc = $doc:literal])* $field:ident: $series:literal,)*) => {
+        /// Client-side transport statistics: a snapshot of this
+        /// endpoint's instances of the `client.*` registry series (the
+        /// series total every endpoint in the simulation).
+        #[derive(Clone, Copy, Debug, Default)]
+        pub struct ClientStats {
+            $($(#[doc = $doc])* pub $field: u64,)*
+        }
+
+        struct ClientCounters {
+            $($field: Rc<Counter>,)*
+        }
+
+        impl ClientCounters {
+            fn new(sim: &Sim) -> ClientCounters {
+                let m = sim.metrics();
+                ClientCounters { $($field: m.instance($series),)* }
+            }
+
+            fn snapshot(&self) -> ClientStats {
+                ClientStats { $($field: self.$field.get(),)* }
+            }
+        }
+    };
+}
+
+client_stats! {
     /// Calls completed.
-    pub calls: u64,
+    calls: "client.calls",
     /// Bulk bytes sent (write path).
-    pub bulk_out: u64,
+    bulk_out: "client.bulk_out",
     /// Bulk bytes received (read path).
-    pub bulk_in: u64,
+    bulk_in: "client.bulk_in",
     /// RDMA_DONE messages sent (Read-Read design only).
-    pub dones_sent: u64,
+    dones_sent: "client.dones_sent",
     /// Small writes sent via the RDMA_MSGP padded-inline fast path.
-    pub msgp_sends: u64,
+    msgp_sends: "client.msgp_sends",
     /// Client-side data copies, bytes (zero-copy path avoids these).
-    pub copied_bytes: u64,
+    copied_bytes: "client.copied_bytes",
     /// Call retransmissions (same XID resent after a reply timeout).
-    pub retransmits: u64,
+    retransmits: "client.retransmits",
     /// Reply timeouts observed (each one precedes a retransmission or
     /// the call's final failure).
-    pub timeouts: u64,
+    timeouts: "client.timeouts",
     /// Busy (shed) replies received from an overloaded server; each
     /// one precedes a backed-off re-offer or the call's final
     /// [`onc_rpc::TransportError::Overloaded`] failure.
-    pub busy_replies: u64,
+    busy_replies: "client.busy_replies",
     /// Successful connection recoveries (fresh QP after an error).
-    pub reconnects: u64,
+    reconnects: "client.reconnects",
     /// Calls sent RFP-marked: the reply was fetched from the reply
     /// slot (or fell back to the Send path) instead of arriving as an
     /// unsolicited Send.
-    pub rfp_marked: u64,
+    rfp_marked: "client.rfp.marked",
     /// Reply-slot fetches issued (RDMA Reads by the pollers).
-    pub rfp_polls: u64,
+    rfp_polls: "client.rfp.polls",
     /// Calls completed from a fetched reply slot.
-    pub rfp_hits: u64,
+    rfp_hits: "client.rfp.hits",
 }
 
 /// Rebuilds a client connection after a QP error: tears down the old
@@ -103,30 +130,6 @@ pub struct ClientStats {
 /// connector returning an un-postable QP kills the client for good.
 /// Plain single-server connectors resolve immediately.
 pub type Connector = Box<dyn Fn() -> onc_rpc::LocalBoxFuture<Qp>>;
-
-/// Registry handles for the client-side series (`client.*`). Shared by
-/// every client endpoint in the world, so they aggregate fleet-wide;
-/// [`ClientStats`] keeps the per-endpoint view.
-struct ClientMetrics {
-    calls: Rc<Counter>,
-    retransmits: Rc<Counter>,
-    timeouts: Rc<Counter>,
-    reconnects: Rc<Counter>,
-    busy_replies: Rc<Counter>,
-}
-
-impl ClientMetrics {
-    fn new(sim: &Sim) -> ClientMetrics {
-        let m = sim.metrics();
-        ClientMetrics {
-            calls: m.counter("client.calls"),
-            retransmits: m.counter("client.retransmits"),
-            timeouts: m.counter("client.timeouts"),
-            reconnects: m.counter("client.reconnects"),
-            busy_replies: m.counter("client.busy_replies"),
-        }
-    }
-}
 
 struct ClientInner {
     sim: Sim,
@@ -145,8 +148,7 @@ struct ClientInner {
     /// Permits to swallow (grant was reduced below what we hold).
     credit_deficit: Cell<u32>,
     router: RefCell<CompletionRouter>,
-    stats: RefCell<ClientStats>,
-    metrics: ClientMetrics,
+    stats: ClientCounters,
     dead: Cell<bool>,
     /// A reconnect is in flight: hold off posting until the fresh QP
     /// is swapped in (pending calls retransmit onto it).
@@ -218,8 +220,7 @@ impl RdmaRpcClient {
             granted: Cell::new(cfg.credits),
             credit_deficit: Cell::new(0),
             router: RefCell::new(spawn_router(sim, hca, &qp, &cfg)),
-            stats: RefCell::new(ClientStats::default()),
-            metrics: ClientMetrics::new(sim),
+            stats: ClientCounters::new(sim),
             dead: Cell::new(false),
             recovering: Cell::new(false),
             connector: RefCell::new(None),
@@ -250,7 +251,7 @@ impl RdmaRpcClient {
 
     /// Statistics snapshot.
     pub fn stats(&self) -> ClientStats {
-        *self.inner.stats.borrow()
+        self.inner.stats.snapshot()
     }
 
     /// The underlying queue pair (for diagnostics; swapped on
@@ -364,8 +365,8 @@ impl RdmaRpcClient {
             {
                 msgp_data = Some(buffer.read(*off, *len));
                 cpu.copy(*len).await; // staged into the inline buffer
-                inner.stats.borrow_mut().bulk_out += len;
-                inner.stats.borrow_mut().msgp_sends += 1;
+                inner.stats.bulk_out.add(*len);
+                inner.stats.msgp_sends.inc();
             }
         }
 
@@ -379,7 +380,7 @@ impl RdmaRpcClient {
                 // Stage into the pre-registered slab buffer.
                 io.write(0, buffer.read(*off, *len));
                 cpu.copy(*len).await;
-                inner.stats.borrow_mut().copied_bytes += len;
+                inner.stats.copied_bytes.add(*len);
             }
             let position = rpc_msg.len() as u32;
             for seg in io.segments(0, *len, &inner.hca) {
@@ -388,7 +389,7 @@ impl RdmaRpcClient {
                     segment: seg,
                 });
             }
-            inner.stats.borrow_mut().bulk_out += len;
+            inner.stats.bulk_out.add(*len);
             held.push(io);
         }
 
@@ -473,7 +474,7 @@ impl RdmaRpcClient {
             && self.rfp_ready();
         if rfp_marked {
             hdr.msg_type = MsgType::MsgRfp;
-            inner.stats.borrow_mut().rfp_marked += 1;
+            inner.stats.rfp_marked.inc();
         }
 
         // --- Send the call; retransmit on timeout. -------------------
@@ -535,8 +536,7 @@ impl RdmaRpcClient {
                 }
             }
             if attempt > 0 {
-                inner.stats.borrow_mut().retransmits += 1;
-                inner.metrics.retransmits.inc();
+                inner.stats.retransmits.inc();
                 inner.sim.trace("rpc", || {
                     format!("client retransmit xid={xid} attempt={attempt}")
                 });
@@ -569,8 +569,7 @@ impl RdmaRpcClient {
                         // retransmission executes fresh when admitted.
                         Err(RpcError::Rejected(AcceptStat::SystemErr)) if !inner.dead.get() => {
                             sheds += 1;
-                            inner.stats.borrow_mut().busy_replies += 1;
-                            inner.metrics.busy_replies.inc();
+                            inner.stats.busy_replies.inc();
                             inner.sim.trace("rpc", || {
                                 format!("client busy-reply xid={xid} sheds={sheds}")
                             });
@@ -592,8 +591,7 @@ impl RdmaRpcClient {
                 // Sender dropped: connection died with no recovery path.
                 Some(Err(_)) => break Err(RpcError::Disconnected),
                 None => {
-                    inner.stats.borrow_mut().timeouts += 1;
-                    inner.metrics.timeouts.inc();
+                    inner.stats.timeouts.inc();
                 }
             }
             inner.pending.borrow_mut().remove(&xid);
@@ -632,8 +630,7 @@ impl RdmaRpcClient {
             drop(credit);
         }
         if result.is_ok() {
-            inner.stats.borrow_mut().calls += 1;
-            inner.metrics.calls.inc();
+            inner.stats.calls.inc();
         }
         result
     }
@@ -750,7 +747,7 @@ impl RdmaRpcClient {
                         .map(|segs| segs.iter().map(|s| s.len).sum())
                         .unwrap_or(0);
                     cpu.copy(actual).await; // reply must be unmarshalled
-                    inner.stats.borrow_mut().copied_bytes += actual;
+                    inner.stats.copied_bytes.add(actual);
                     io.read(0, actual).materialize()
                 } else {
                     reply_body
@@ -770,12 +767,12 @@ impl RdmaRpcClient {
                     if !zero_copy {
                         // Copy out of the bounce buffer to the user.
                         cpu.copy(actual).await;
-                        inner.stats.borrow_mut().copied_bytes += actual;
+                        inner.stats.copied_bytes.add(actual);
                         if let Some((ubuf, uoff)) = &bulk.recv_user {
                             ubuf.write(*uoff, data.clone());
                         }
                     }
-                    inner.stats.borrow_mut().bulk_in += actual;
+                    inner.stats.bulk_in.add(actual);
                     Some(data)
                 } else {
                     None
@@ -821,8 +818,8 @@ impl RdmaRpcClient {
                     // Client-side copy: the Read-Read design has no
                     // zero-copy path (paper §4.2 / Figure 5 CPU lines).
                     cpu.copy(total).await;
-                    inner.stats.borrow_mut().copied_bytes += total;
-                    inner.stats.borrow_mut().bulk_in += total;
+                    inner.stats.copied_bytes.add(total);
+                    inner.stats.bulk_in.add(total);
                     let data = io.read(0, total);
                     if let Some((ubuf, uoff)) = &bulk.recv_user {
                         ubuf.write(*uoff, data.clone());
@@ -843,7 +840,7 @@ impl RdmaRpcClient {
                             .borrow()
                             .post_send(Payload::real(msg), self.alloc_wr(), false)
                             .map_err(|_| RpcError::Disconnected)?;
-                        inner.stats.borrow_mut().dones_sent += 1;
+                        inner.stats.dones_sent.inc();
                     }
                     pulled = Some(data);
                 }
@@ -1007,7 +1004,7 @@ fn spawn_slot_poller(inner: Rc<ClientInner>, xid: u32) {
             {
                 return;
             }
-            inner.stats.borrow_mut().rfp_polls += 1;
+            inner.stats.rfp_polls.inc();
             let Ok(c) = rx.await else { return };
             drop(permit);
             if c.result.is_err() {
@@ -1044,7 +1041,7 @@ fn spawn_slot_poller(inner: Rc<ClientInner>, xid: u32) {
                 });
                 let tx = inner.pending.borrow_mut().remove(&xid);
                 if let Some(tx) = tx {
-                    inner.stats.borrow_mut().rfp_hits += 1;
+                    inner.stats.rfp_hits.inc();
                     tx.send((rhdr, body));
                 }
                 return;
@@ -1138,8 +1135,7 @@ fn start_recovery(inner: &Rc<ClientInner>) {
         *inner.router.borrow_mut() = spawn_router(&inner.sim, &inner.hca, &qp, &inner.cfg);
         install_error_handler(&inner);
         *inner.qp.borrow_mut() = qp.clone();
-        inner.stats.borrow_mut().reconnects += 1;
-        inner.metrics.reconnects.inc();
+        inner.stats.reconnects.inc();
         inner.recovering.set(false);
         inner
             .sim

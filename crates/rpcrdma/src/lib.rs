@@ -39,7 +39,10 @@ pub use header::{
 };
 pub use qos::{ShedReason, TenantScheduler};
 pub use reg::{IoBuf, RegCache, Registrar, StrategyKind};
-pub use repl::{CtrlTarget, CtrlWriter, LogRing, ReplError, RingTarget, Shipper, RING_SENTINEL};
+pub use repl::{
+    max_record, CtrlTarget, CtrlWriter, LogRing, ReplError, RingTarget, Shipper, ShipperStats,
+    RING_SENTINEL,
+};
 pub use rfp::{RingLayout, SlotView, SLOT_OVERHEAD};
 pub use sanitize::{sanitize_header, ProtocolViolation};
 pub use server::{RdmaRpcServer, ServerStats};

@@ -242,26 +242,29 @@ impl CtrlWriter {
 // Primary side: the shipper.
 // ---------------------------------------------------------------------
 
-/// Shipper statistics (cells so tests can read them directly).
-#[derive(Default)]
-pub struct ShipperStats {
-    /// Records deposited into the remote ring.
-    pub shipped_records: Cell<u64>,
-    /// Record bytes deposited (excluding pad skips).
-    pub shipped_bytes: Cell<u64>,
-    /// Tail bytes pad-skipped at ring wrap.
-    pub skipped_bytes: Cell<u64>,
-    /// Times a deposit had to wait for ring credits (backpressure).
-    pub blocked: Cell<u64>,
-    /// Credit-return snapshots observed from the backup.
-    pub credit_returns: Cell<u64>,
+/// Largest record a ring of `ring_bytes` accepts: half the ring. A
+/// wrapping deposit charges `skip + len` credits and `skip < len` (a
+/// skip only happens when the record doesn't fit the tail), so
+/// `len <= size/2` keeps the charge below the ring's total credit
+/// supply — backpressure always resolves, never deadlocks. Callers
+/// shipping client-sized records must refuse larger ones up front.
+pub fn max_record(ring_bytes: u64) -> u64 {
+    ring_bytes / 2
 }
 
-struct ShipperMetrics {
-    shipped_records: Rc<Counter>,
-    shipped_bytes: Rc<Counter>,
-    blocked: Rc<Counter>,
-    credit_returns: Rc<Counter>,
+/// Shipper statistics: this shipper's instances of the `repl.*`
+/// registry series.
+pub struct ShipperStats {
+    /// Records deposited into the remote ring.
+    pub shipped_records: Rc<Counter>,
+    /// Record bytes deposited (excluding pad skips).
+    pub shipped_bytes: Rc<Counter>,
+    /// Tail bytes pad-skipped at ring wrap.
+    pub skipped_bytes: Rc<Counter>,
+    /// Times a deposit had to wait for ring credits (backpressure).
+    pub blocked: Rc<Counter>,
+    /// Credit-return snapshots observed from the backup.
+    pub credit_returns: Rc<Counter>,
 }
 
 /// Primary-side record shipper: owns the ring head cursor, the byte
@@ -293,7 +296,6 @@ pub struct Shipper {
     last_drained: Cell<u64>,
     /// Statistics.
     pub stats: ShipperStats,
-    metrics: ShipperMetrics,
 }
 
 impl Shipper {
@@ -327,12 +329,12 @@ impl Shipper {
             _ctrl_mr: ctrl_mr,
             wr: Cell::new(0),
             last_drained: Cell::new(0),
-            stats: ShipperStats::default(),
-            metrics: ShipperMetrics {
-                shipped_records: registry.counter("repl.shipped_records"),
-                shipped_bytes: registry.counter("repl.shipped_bytes"),
-                blocked: registry.counter("repl.blocked"),
-                credit_returns: registry.counter("repl.credit_returns"),
+            stats: ShipperStats {
+                shipped_records: registry.instance("repl.shipped_records"),
+                shipped_bytes: registry.instance("repl.shipped_bytes"),
+                skipped_bytes: registry.instance("repl.skipped_bytes"),
+                blocked: registry.instance("repl.blocked"),
+                credit_returns: registry.instance("repl.credit_returns"),
             },
         });
         sim.spawn(Shipper::feeder(shipper.clone(), ctrl_buf, rx));
@@ -344,10 +346,7 @@ impl Shipper {
     async fn feeder(self: Rc<Shipper>, buf: Buffer, mut rx: Receiver<RingEvent>) {
         while rx.recv().await.is_ok() {
             let (drained, acked_seq) = decode_ctrl(&buf.read(0, CTRL_BYTES));
-            self.stats
-                .credit_returns
-                .set(self.stats.credit_returns.get() + 1);
-            self.metrics.credit_returns.inc();
+            self.stats.credit_returns.inc();
             let last = self.last_drained.get();
             if drained > last {
                 self.last_drained.set(drained);
@@ -418,13 +417,8 @@ impl Shipper {
             return Err(ReplError::Detached);
         };
         let len = record.len();
-        // Half-ring bound: a wrapping deposit charges `skip + len`
-        // credits and `skip < len` (a skip only happens when the
-        // record doesn't fit the tail), so `len <= size/2` guarantees
-        // the charge stays below the ring's total credit supply —
-        // i.e. backpressure always resolves, never deadlocks.
         assert!(
-            len <= ring.size / 2,
+            len <= max_record(ring.size),
             "replication record ({len}B) exceeds half the ring ({}B) — \
              a wrap could charge more credits than the ring holds",
             ring.size
@@ -443,8 +437,7 @@ impl Shipper {
             if self.poisoned.get() {
                 return Err(ReplError::Channel);
             }
-            self.stats.blocked.set(self.stats.blocked.get() + 1);
-            self.metrics.blocked.inc();
+            self.stats.blocked.inc();
             self.sim
                 .trace("repl", || format!("ship blocked need={need}B"));
             self.credit_notify.notified().await;
@@ -465,17 +458,9 @@ impl Shipper {
             self.poison();
             return Err(ReplError::Channel);
         }
-        self.stats
-            .shipped_records
-            .set(self.stats.shipped_records.get() + 1);
-        self.stats
-            .shipped_bytes
-            .set(self.stats.shipped_bytes.get() + len);
-        self.stats
-            .skipped_bytes
-            .set(self.stats.skipped_bytes.get() + skip);
-        self.metrics.shipped_records.inc();
-        self.metrics.shipped_bytes.add(len);
+        self.stats.shipped_records.inc();
+        self.stats.shipped_bytes.add(len);
+        self.stats.skipped_bytes.add(skip);
         Ok(())
     }
 

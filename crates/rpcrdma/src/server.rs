@@ -43,7 +43,7 @@ use onc_rpc::msg::{decode_call, encode_reply};
 use onc_rpc::{AcceptStat, CallContext, DrcKey, DrcOutcome, DuplicateRequestCache, ReplyHeader};
 use sim_core::stats::Counter;
 use sim_core::sync::Semaphore;
-use sim_core::{Payload, Resource, SgList, Sim, SimDuration, SimTime};
+use sim_core::{MetricsRegistry, Payload, Resource, SgList, Sim, SimDuration, SimTime};
 use xdr::{Encoder, XdrCodec};
 
 use crate::config::{Design, RpcRdmaConfig};
@@ -66,98 +66,135 @@ const GOOD_OPS_PER_RESTORE: u32 = 8;
 /// loops instead of queueing behind whatever woke first.
 const QOS_DISPATCH_CLASS: usize = 1;
 
-/// Server-side statistics (shared across connections).
-#[derive(Default)]
+/// Server-side statistics (shared across connections). The counters
+/// are this server's instances of the `server.*` registry series, so
+/// a cluster's primary and backup each see only their own events while
+/// the registry reports the sum; the plain cells are gauges.
 pub struct ServerStats {
     /// Operations dispatched.
-    pub ops: Cell<u64>,
+    pub ops: Rc<Counter>,
     /// Bulk bytes pulled from clients (WRITE path).
-    pub bulk_in: Cell<u64>,
+    pub bulk_in: Rc<Counter>,
     /// Bulk bytes pushed/exposed to clients (READ path).
-    pub bulk_out: Cell<u64>,
+    pub bulk_out: Rc<Counter>,
     /// `RDMA_DONE` messages processed (Read-Read design).
-    pub dones: Cell<u64>,
+    pub dones: Rc<Counter>,
     /// `RDMA_MSGP` padded-inline messages received.
-    pub msgp_recvs: Cell<u64>,
+    pub msgp_recvs: Rc<Counter>,
     /// Exposed buffers currently awaiting `RDMA_DONE` — a resource the
     /// client controls (§4.1 "Malicious or Malfunctioning clients").
     pub exposures_pending: Cell<u64>,
     /// Server-side staging copies, bytes.
-    pub copied_bytes: Cell<u64>,
+    pub copied_bytes: Rc<Counter>,
     /// READ reply bytes gathered straight from file-system pages onto
     /// the wire (no staging write): the zero-copy pipeline's output.
-    pub zero_copy_bytes: Cell<u64>,
+    pub zero_copy_bytes: Rc<Counter>,
     /// WRITE bytes pulled from clients and handed to the file system
     /// as scatter pieces (no flattening, no staging copy): the
     /// receive-side scatter pipeline's output, mirroring
     /// [`ServerStats::zero_copy_bytes`] on the READ side.
-    pub write_zero_copy_bytes: Cell<u64>,
+    pub write_zero_copy_bytes: Rc<Counter>,
     /// Operations currently being serviced.
     pub inflight: Cell<u64>,
     /// High-water mark of concurrent operations.
     pub peak_inflight: Cell<u64>,
     /// Retransmitted calls answered from the duplicate request cache
     /// (or parked on an in-progress original) instead of re-executing.
-    pub drc_replays: Cell<u64>,
+    pub drc_replays: Rc<Counter>,
     /// DRC replays served from the *previous* service epoch: calls
     /// first executed on a failed primary and retransmitted to this
     /// server after its promotion (subset of `drc_replays`).
-    pub cross_epoch_replays: Cell<u64>,
+    pub cross_epoch_replays: Rc<Counter>,
     /// Protocol violations detected by the chunk-list sanitizer (all
     /// connections, all kinds).
-    pub violations: Cell<u64>,
+    pub violations: Rc<Counter>,
     /// Connections quarantined (QP forced to the error state) after
     /// exhausting their violation budget.
-    pub quarantines: Cell<u64>,
+    pub quarantines: Rc<Counter>,
     /// Times a connection's credit grant was halved under violation
     /// pressure.
-    pub credit_clamps: Cell<u64>,
+    pub credit_clamps: Rc<Counter>,
+    /// Times a hogging tenant's credit grant was halved by the QoS
+    /// queue (the other half of the clamps a client observes).
+    pub qos_credit_clamps: Rc<Counter>,
     /// Read-Read exposures force-revoked by the TTL reaper because the
     /// client never sent `RDMA_DONE`.
-    pub exposures_revoked: Cell<u64>,
-    /// Calls shed by the overload controller (answered with a
-    /// retryable busy reply instead of being serviced).
-    pub sheds: Cell<u64>,
+    pub exposures_revoked: Rc<Counter>,
+    /// Calls admitted into the QoS dispatch queue.
+    pub qos_enqueued: Rc<Counter>,
+    /// Queued calls a QoS worker went on to service.
+    pub qos_dispatched: Rc<Counter>,
+    /// Arrivals shed because the QoS queue was full.
+    pub qos_shed_queue_full: Rc<Counter>,
+    /// Arrivals shed because their tenant's backlog cap was reached.
+    pub qos_shed_tenant_backlog: Rc<Counter>,
+    /// Queued calls shed because their sojourn passed the target delay.
+    pub qos_shed_deadline: Rc<Counter>,
     /// High-water mark of the QoS dispatch queue depth.
     pub qos_peak_depth: Cell<u64>,
     /// Small replies deposited into reply-slot rings instead of being
     /// sent (RFP fast path): each one is a server doorbell, a send
     /// completion and a client interrupt that never happened.
-    pub rfp_deposits: Cell<u64>,
+    pub rfp_deposits: Rc<Counter>,
     /// RFP-marked calls whose reply went out on the Send path anyway
     /// (reply too large for a slot, ring revoked mid-call, or the ring
     /// was never advertised on this connection).
-    pub rfp_fallback_sends: Cell<u64>,
+    pub rfp_fallback_sends: Rc<Counter>,
     /// Reply-slot ring advertisements piggybacked on Send replies.
-    pub rfp_ads: Cell<u64>,
+    pub rfp_ads: Rc<Counter>,
     /// Reply-slot rings revoked (idle past the exposure TTL, or at
     /// connection teardown) — each one invalidates the advertised
     /// steering tag, so later fetches are refused by the HCA.
-    pub rfp_rings_revoked: Cell<u64>,
+    pub rfp_rings_revoked: Rc<Counter>,
 }
 
-/// Registry-backed server counters (the [`ServerStats`] cells remain
-/// the accessor API; these mirror the core series onto the unified
-/// metrics registry for snapshots and dumps).
-struct ServerMetrics {
-    ops: Rc<Counter>,
-    replays: Rc<Counter>,
-    violations_total: Rc<Counter>,
-    quarantines: Rc<Counter>,
-    credit_clamps: Rc<Counter>,
-    exposures_revoked: Rc<Counter>,
-    zero_copy_bytes: Rc<Counter>,
-    write_zero_copy_bytes: Rc<Counter>,
-    qos_enqueued: Rc<Counter>,
-    qos_dispatched: Rc<Counter>,
-    qos_shed_queue_full: Rc<Counter>,
-    qos_shed_tenant_backlog: Rc<Counter>,
-    qos_shed_deadline: Rc<Counter>,
-    qos_credit_clamps: Rc<Counter>,
-    rfp_deposits: Rc<Counter>,
-    rfp_fallback_sends: Rc<Counter>,
-    rfp_ads: Rc<Counter>,
-    rfp_rings_revoked: Rc<Counter>,
+impl ServerStats {
+    fn new(reg: &MetricsRegistry) -> ServerStats {
+        ServerStats {
+            ops: reg.instance("server.ops"),
+            bulk_in: reg.instance("server.bulk_in"),
+            bulk_out: reg.instance("server.bulk_out"),
+            dones: reg.instance("server.dones"),
+            msgp_recvs: reg.instance("server.msgp_recvs"),
+            exposures_pending: Cell::new(0),
+            copied_bytes: reg.instance("server.copied_bytes"),
+            zero_copy_bytes: reg.instance("server.read.zero_copy_bytes"),
+            write_zero_copy_bytes: reg.instance("server.write.zero_copy_bytes"),
+            inflight: Cell::new(0),
+            peak_inflight: Cell::new(0),
+            drc_replays: reg.instance("server.drc.replays"),
+            cross_epoch_replays: reg.instance("server.drc.cross_epoch_replays"),
+            violations: reg.instance("server.violations.total"),
+            quarantines: reg.instance("server.quarantines"),
+            credit_clamps: reg.instance("server.credit_clamps"),
+            qos_credit_clamps: reg.instance("server.qos.credit_clamps"),
+            exposures_revoked: reg.instance("server.exposures.revoked"),
+            qos_enqueued: reg.instance("server.qos.enqueued"),
+            qos_dispatched: reg.instance("server.qos.dispatched"),
+            qos_shed_queue_full: reg.instance("server.qos.shed.queue_full"),
+            qos_shed_tenant_backlog: reg.instance("server.qos.shed.tenant_backlog"),
+            qos_shed_deadline: reg.instance("server.qos.shed.deadline"),
+            qos_peak_depth: Cell::new(0),
+            rfp_deposits: reg.instance("server.rfp.deposits"),
+            rfp_fallback_sends: reg.instance("server.rfp.fallback_sends"),
+            rfp_ads: reg.instance("server.rfp.ads"),
+            rfp_rings_revoked: reg.instance("server.rfp.rings_revoked"),
+        }
+    }
+
+    /// Calls shed by the overload controller (answered with a
+    /// retryable busy reply instead of being serviced), all reasons.
+    pub fn sheds(&self) -> u64 {
+        self.qos_shed_queue_full.get()
+            + self.qos_shed_tenant_backlog.get()
+            + self.qos_shed_deadline.get()
+    }
+
+    /// Credit-window halvings of either cause: violation pressure and
+    /// QoS hog pressure.
+    pub fn all_credit_clamps(&self) -> u64 {
+        self.credit_clamps.get() + self.qos_credit_clamps.get()
+    }
 }
 
 /// One admitted call parked in the QoS dispatch queue.
@@ -206,8 +243,6 @@ pub struct RdmaRpcServer {
     /// calls that miss the current epoch probe the previous one so
     /// retransmissions across a failover replay instead of re-executing.
     service_epoch: Cell<u32>,
-    /// Registry-backed counters.
-    metrics: ServerMetrics,
     /// Overload control (per-tenant fair dispatch queue + shedding);
     /// `None` unless `cfg.qos_enabled`.
     qos: Option<Rc<QosState>>,
@@ -234,10 +269,7 @@ impl RdmaRpcServer {
                 bufs.push(buf);
             }
             srq.set_limit(cfg.credits as usize / 2);
-            srq.bind_metrics(
-                sim.metrics().counter("hca.srq.consumed"),
-                sim.metrics().counter("hca.srq.limit_events"),
-            );
+            srq.bind_metrics(&sim.metrics());
             (srq, bufs)
         });
         let drc = DuplicateRequestCache::new(cfg.drc_capacity);
@@ -260,28 +292,8 @@ impl RdmaRpcServer {
             srq,
             drc,
             service_epoch: Cell::new(0),
-            metrics: ServerMetrics {
-                ops: registry.counter("server.ops"),
-                replays: registry.counter("server.drc.replays"),
-                violations_total: registry.counter("server.violations.total"),
-                quarantines: registry.counter("server.quarantines"),
-                credit_clamps: registry.counter("server.credit_clamps"),
-                exposures_revoked: registry.counter("server.exposures.revoked"),
-                zero_copy_bytes: registry.counter("server.read.zero_copy_bytes"),
-                write_zero_copy_bytes: registry.counter("server.write.zero_copy_bytes"),
-                qos_enqueued: registry.counter("server.qos.enqueued"),
-                qos_dispatched: registry.counter("server.qos.dispatched"),
-                qos_shed_queue_full: registry.counter("server.qos.shed.queue_full"),
-                qos_shed_tenant_backlog: registry.counter("server.qos.shed.tenant_backlog"),
-                qos_shed_deadline: registry.counter("server.qos.shed.deadline"),
-                qos_credit_clamps: registry.counter("server.qos.credit_clamps"),
-                rfp_deposits: registry.counter("server.rfp.deposits"),
-                rfp_fallback_sends: registry.counter("server.rfp.fallback_sends"),
-                rfp_ads: registry.counter("server.rfp.ads"),
-                rfp_rings_revoked: registry.counter("server.rfp.rings_revoked"),
-            },
             qos,
-            stats: Rc::new(ServerStats::default()),
+            stats: Rc::new(ServerStats::new(&registry)),
         });
         if server.qos.is_some() {
             for _ in 0..cfg.qos_workers.max(1) {
@@ -466,11 +478,7 @@ fn note_violation(server: &Rc<RdmaRpcServer>, conn: &ConnState, qp: &Qp, v: Prot
     server.sim.trace("rpc", || {
         format!("server violation peer={} {}", qp.peer_node().0, v)
     });
-    server
-        .stats
-        .violations
-        .set(server.stats.violations.get() + 1);
-    server.metrics.violations_total.inc();
+    server.stats.violations.inc();
     server
         .sim
         .metrics()
@@ -480,11 +488,7 @@ fn note_violation(server: &Rc<RdmaRpcServer>, conn: &ConnState, qp: &Qp, v: Prot
     let g = conn.granted.get();
     if g > 1 {
         conn.granted.set((g / 2).max(1));
-        server
-            .stats
-            .credit_clamps
-            .set(server.stats.credit_clamps.get() + 1);
-        server.metrics.credit_clamps.inc();
+        server.stats.credit_clamps.inc();
     }
     let strikes = conn.violations.get() + 1;
     conn.violations.set(strikes);
@@ -496,11 +500,7 @@ fn note_violation(server: &Rc<RdmaRpcServer>, conn: &ConnState, qp: &Qp, v: Prot
                 qp.peer_node().0
             )
         });
-        server
-            .stats
-            .quarantines
-            .set(server.stats.quarantines.get() + 1);
-        server.metrics.quarantines.inc();
+        server.stats.quarantines.inc();
         server.sim.flight(
             "server",
             "quarantine",
@@ -612,7 +612,7 @@ async fn connection_loop(server: Rc<RdmaRpcServer>, qp: Qp) {
                 // exposed buffers (finally paying deregistration).
                 let exp = conn.pending_exposures.borrow_mut().remove(&hdr.xid);
                 if let Some(exp) = exp {
-                    server.stats.dones.set(server.stats.dones.get() + 1);
+                    server.stats.dones.inc();
                     server
                         .stats
                         .exposures_pending
@@ -660,7 +660,7 @@ async fn connection_loop(server: Rc<RdmaRpcServer>, qp: Qp) {
                     };
                     match qos.sched.enqueue(peer, call) {
                         Ok(backlog) => {
-                            server.metrics.qos_enqueued.inc();
+                            server.stats.qos_enqueued.inc();
                             let depth = qos.sched.queued() as u64;
                             if depth > server.stats.qos_peak_depth.get() {
                                 server.stats.qos_peak_depth.set(depth);
@@ -673,11 +673,7 @@ async fn connection_loop(server: Rc<RdmaRpcServer>, qp: Qp) {
                                 let g = conn.granted.get();
                                 if g > 1 {
                                     conn.granted.set((g / 2).max(1));
-                                    server.metrics.qos_credit_clamps.inc();
-                                    server
-                                        .stats
-                                        .credit_clamps
-                                        .set(server.stats.credit_clamps.get() + 1);
+                                    server.stats.qos_credit_clamps.inc();
                                     server.sim.flight(
                                         "qos",
                                         "credit_clamp",
@@ -691,9 +687,9 @@ async fn connection_loop(server: Rc<RdmaRpcServer>, qp: Qp) {
                         Err((reason, call)) => {
                             conn.in_flight.set(conn.in_flight.get() - 1);
                             match reason {
-                                ShedReason::QueueFull => server.metrics.qos_shed_queue_full.inc(),
+                                ShedReason::QueueFull => server.stats.qos_shed_queue_full.inc(),
                                 ShedReason::TenantBacklog => {
-                                    server.metrics.qos_shed_tenant_backlog.inc()
+                                    server.stats.qos_shed_tenant_backlog.inc()
                                 }
                             }
                             shed_call(&server, "shed_arrival", call);
@@ -740,11 +736,7 @@ async fn connection_loop(server: Rc<RdmaRpcServer>, qp: Qp) {
             .exposures_pending
             .set(server.stats.exposures_pending.get() - exp.bufs.len() as u64);
         for io in exp.bufs {
-            server
-                .stats
-                .exposures_revoked
-                .set(server.stats.exposures_revoked.get() + 1);
-            server.metrics.exposures_revoked.inc();
+            server.stats.exposures_revoked.inc();
             server.registrar.revoke(io).await;
         }
     }
@@ -803,11 +795,7 @@ fn spawn_exposure_reaper(server: &Rc<RdmaRpcServer>, conn: &Rc<ConnState>) {
                     .exposures_pending
                     .set(server.stats.exposures_pending.get() - exp.bufs.len() as u64);
                 for io in exp.bufs {
-                    server
-                        .stats
-                        .exposures_revoked
-                        .set(server.stats.exposures_revoked.get() + 1);
-                    server.metrics.exposures_revoked.inc();
+                    server.stats.exposures_revoked.inc();
                     server.registrar.revoke(io).await;
                 }
             }
@@ -912,11 +900,7 @@ async fn deposit_reply(
         .write(off, Payload::real(encode_slot(gen, xid, wire)));
     ring.last_activity.set(server.sim.now());
     drop(ringref);
-    server
-        .stats
-        .rfp_deposits
-        .set(server.stats.rfp_deposits.get() + 1);
-    server.metrics.rfp_deposits.inc();
+    server.stats.rfp_deposits.inc();
     server
         .sim
         .trace("rpc", || format!("server rfp deposit xid={xid} len={len}"));
@@ -930,16 +914,8 @@ async fn deposit_reply(
 /// is refused by the HCA.
 async fn revoke_ring(server: &Rc<RdmaRpcServer>, conn: &ConnState, ring: RfpRing) {
     conn.rfp_ad_sent.set(false);
-    server
-        .stats
-        .rfp_rings_revoked
-        .set(server.stats.rfp_rings_revoked.get() + 1);
-    server.metrics.rfp_rings_revoked.inc();
-    server
-        .stats
-        .exposures_revoked
-        .set(server.stats.exposures_revoked.get() + 1);
-    server.metrics.exposures_revoked.inc();
+    server.stats.rfp_rings_revoked.inc();
+    server.stats.exposures_revoked.inc();
     server.sim.trace("rpc", || {
         format!("server rfp ring revoked rkey={:?}", ring.ad.seg.rkey)
     });
@@ -1003,7 +979,6 @@ fn spawn_rfp_reaper(server: &Rc<RdmaRpcServer>, conn: &Rc<ConnState>) {
 /// just a small inline send.
 fn shed_call(server: &Rc<RdmaRpcServer>, why: &'static str, call: QueuedCall) {
     let QueuedCall { hdr, qp, conn, .. } = call;
-    server.stats.sheds.set(server.stats.sheds.get() + 1);
     let peer = qp.peer_node().0;
     server.sim.flight("qos", why, peer as u64, hdr.xid as u64);
     server.sim.trace("rpc", || {
@@ -1049,11 +1024,11 @@ async fn qos_worker(server: Rc<RdmaRpcServer>) {
             // answering "busy" now is cheaper for everyone than
             // servicing stale work the client may have given up on.
             call.conn.in_flight.set(call.conn.in_flight.get() - 1);
-            server.metrics.qos_shed_deadline.inc();
+            server.stats.qos_shed_deadline.inc();
             shed_call(&server, "shed_deadline", call);
             continue;
         }
-        server.metrics.qos_dispatched.inc();
+        server.stats.qos_dispatched.inc();
         let conn = call.conn.clone();
         handle_op(
             server.clone(),
@@ -1138,14 +1113,8 @@ async fn handle_op(
             return;
         }
         let data = call_msg.slice(data_off..);
-        server
-            .stats
-            .bulk_in
-            .set(server.stats.bulk_in.get() + data.len() as u64);
-        server
-            .stats
-            .msgp_recvs
-            .set(server.stats.msgp_recvs.get() + 1);
+        server.stats.bulk_in.add(data.len() as u64);
+        server.stats.msgp_recvs.inc();
         bulk_in = Some(SgList::from(Payload::real(data)));
         call_msg = call_msg.slice(..head_len);
     }
@@ -1175,11 +1144,7 @@ async fn handle_op(
                 // to the staged path (the scratch window was still
                 // acquired), only the host data movement disappears.
                 bulk_in = Some(io.read_sg(0, total));
-                server
-                    .stats
-                    .write_zero_copy_bytes
-                    .set(server.stats.write_zero_copy_bytes.get() + total);
-                server.metrics.write_zero_copy_bytes.add(total);
+                server.stats.write_zero_copy_bytes.add(total);
             } else {
                 bulk_in = Some(SgList::from(io.read(0, total)));
                 if server.registrar.is_staged() {
@@ -1187,13 +1152,10 @@ async fn handle_op(
                     // — the Cache strategy's pre-registered bounce
                     // buffers are the only path that still copies.
                     cpu.copy(total).await;
-                    server
-                        .stats
-                        .copied_bytes
-                        .set(server.stats.copied_bytes.get() + total);
+                    server.stats.copied_bytes.add(total);
                 }
             }
-            server.stats.bulk_in.set(server.stats.bulk_in.get() + total);
+            server.stats.bulk_in.add(total);
             // Figure 4 points 8-9: server-side deregistration after the
             // file system is done with the data.
             server.registrar.release(io).await;
@@ -1241,15 +1203,8 @@ async fn handle_op(
         })
         .flatten();
     let dispatch = if let Some(dispatch) = prev_hit {
-        server
-            .stats
-            .drc_replays
-            .set(server.stats.drc_replays.get() + 1);
-        server
-            .stats
-            .cross_epoch_replays
-            .set(server.stats.cross_epoch_replays.get() + 1);
-        server.metrics.replays.inc();
+        server.stats.drc_replays.inc();
+        server.stats.cross_epoch_replays.inc();
         server.sim.trace("rpc", || {
             format!("server drc cross-epoch replay xid={}", call_hdr.xid)
         });
@@ -1286,18 +1241,13 @@ async fn handle_op(
                         .await
                 };
                 dispatch.trace = cx.trace;
-                server.stats.ops.set(server.stats.ops.get() + 1);
-                server.metrics.ops.inc();
+                server.stats.ops.inc();
                 note_good_op(&server, &conn);
                 slot.fill(&dispatch);
                 dispatch
             }
             DrcOutcome::Cached(dispatch) => {
-                server
-                    .stats
-                    .drc_replays
-                    .set(server.stats.drc_replays.get() + 1);
-                server.metrics.replays.inc();
+                server.stats.drc_replays.inc();
                 server
                     .sim
                     .trace("rpc", || format!("server drc replay xid={}", call_hdr.xid));
@@ -1311,11 +1261,7 @@ async fn handle_op(
             }
             DrcOutcome::InProgress(rx) => match rx.await {
                 Ok(dispatch) => {
-                    server
-                        .stats
-                        .drc_replays
-                        .set(server.stats.drc_replays.get() + 1);
-                    server.metrics.replays.inc();
+                    server.stats.drc_replays.inc();
                     server.sim.trace("rpc", || {
                         format!("server drc wait-replay xid={}", call_hdr.xid)
                     });
@@ -1388,11 +1334,7 @@ async fn handle_op(
                             &hdr.write_chunks[0],
                         )
                         .await;
-                        server
-                            .stats
-                            .zero_copy_bytes
-                            .set(server.stats.zero_copy_bytes.get() + bulk.len());
-                        server.metrics.zero_copy_bytes.add(bulk.len());
+                        server.stats.zero_copy_bytes.add(bulk.len());
                         io
                     } else {
                         let io = stage_source(&server, bulk, Access::LOCAL).await;
@@ -1409,10 +1351,7 @@ async fn handle_op(
                     };
                     rhdr.write_chunks
                         .push(echo_actual(&hdr.write_chunks[0], bulk.len()));
-                    server
-                        .stats
-                        .bulk_out
-                        .set(server.stats.bulk_out.get() + bulk.len());
+                    server.stats.bulk_out.add(bulk.len());
                     to_release.push(io);
                 }
             }
@@ -1440,10 +1379,7 @@ async fn handle_op(
                         segment: seg,
                     });
                 }
-                server
-                    .stats
-                    .bulk_out
-                    .set(server.stats.bulk_out.get() + bulk.len());
+                server.stats.bulk_out.add(bulk.len());
                 to_expose.push(io);
             }
             if reply_msg.len() as u64 > cfg.inline_threshold {
@@ -1488,8 +1424,7 @@ async fn handle_op(
                         rhdr.msg_type = MsgType::MsgRfpAd;
                         rhdr.rfp_ad = Some(ad);
                         conn.rfp_ad_sent.set(true);
-                        server.stats.rfp_ads.set(server.stats.rfp_ads.get() + 1);
-                        server.metrics.rfp_ads.inc();
+                        server.stats.rfp_ads.inc();
                     }
                 }
             }
@@ -1524,11 +1459,7 @@ async fn handle_op(
         }
         // Reply outgrew the slot or the ring vanished mid-call: the
         // Send path below still delivers it.
-        server
-            .stats
-            .rfp_fallback_sends
-            .set(server.stats.rfp_fallback_sends.get() + 1);
-        server.metrics.rfp_fallback_sends.inc();
+        server.stats.rfp_fallback_sends.inc();
     }
     cpu.copy(wire_len).await;
 
@@ -1670,10 +1601,7 @@ async fn stage_source(server: &Rc<RdmaRpcServer>, data: &SgList, access: Access)
     }
     if server.registrar.is_staged() {
         server.hca.cpu().copy(data.len()).await;
-        server
-            .stats
-            .copied_bytes
-            .set(server.stats.copied_bytes.get() + data.len());
+        server.stats.copied_bytes.add(data.len());
     }
     io
 }

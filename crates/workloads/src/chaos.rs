@@ -264,19 +264,16 @@ async fn run_inner(sim: &Sim, profile: &Profile, params: ChaosParams) -> ChaosRe
     let corrupt_records = corrupt_total.get();
 
     let rpc_server = bed.rpc_server.as_ref().expect("rdma testbed");
-    let mut rpc_retransmits = 0;
-    let mut timeouts = 0;
-    let mut reconnects = 0;
     let mut redriven_writes = 0;
     let mut verf_mismatches = 0;
     for c in &bed.clients {
-        let s = c.nfs.rdma().expect("rdma mount").stats();
-        rpc_retransmits += s.retransmits;
-        timeouts += s.timeouts;
-        reconnects += s.reconnects;
         redriven_writes += c.nfs.stats.redriven_writes.get();
         verf_mismatches += c.nfs.stats.verf_mismatches.get();
     }
+    // Every RPC/RDMA client in the simulation is one of `bed.clients`,
+    // so the `client.*` series are their totals.
+    let metrics = sim.metrics();
+    let client_total = |name: &str| metrics.get(name).unwrap_or(0);
     let wal_committed_records = bed
         .disk_store
         .as_ref()
@@ -286,11 +283,11 @@ async fn run_inner(sim: &Sim, profile: &Profile, params: ChaosParams) -> ChaosRe
         server_ops: rpc_server.stats.ops.get(),
         drc_replays: rpc_server.stats.drc_replays.get(),
         fs_writes: bed.server.stats.writes.get(),
-        drops: sim.metrics().sum_matching("fabric.", ".dropped"),
-        link_retransmits: sim.metrics().sum_matching("fabric.", ".retransmits"),
-        rpc_retransmits,
-        timeouts,
-        reconnects,
+        drops: metrics.sum_matching("fabric.", ".dropped"),
+        link_retransmits: metrics.sum_matching("fabric.", ".retransmits"),
+        rpc_retransmits: client_total("client.retransmits"),
+        timeouts: client_total("client.timeouts"),
+        reconnects: client_total("client.reconnects"),
         corrupt_records,
         redriven_writes,
         verf_mismatches,

@@ -116,6 +116,7 @@ fn build_server_node(
     idx: usize,
     node: NodeId,
     backend: Backend,
+    ring_bytes: u64,
 ) -> Rc<ServerNode> {
     let cpu = Cpu::new(
         sim,
@@ -134,7 +135,7 @@ fn build_server_node(
         Registrar::new(&hca, StrategyKind::Cache),
         profile.rpc,
     );
-    let repl = Replicator::new();
+    let repl = Replicator::new(ring_bytes);
     if let Some(d) = &disk {
         if let Some(wal) = d.store().wal() {
             let wal = wal.clone();
@@ -170,7 +171,15 @@ pub async fn build_cluster(
     let fabric = Fabric::new(sim);
     let mount = ClusterMount::new(2);
 
-    let primary = build_server_node(sim, profile, &fabric, 0, NodeId(0), backend);
+    let primary = build_server_node(
+        sim,
+        profile,
+        &fabric,
+        0,
+        NodeId(0),
+        backend,
+        ccfg.ring_bytes,
+    );
     let backup = build_server_node(
         sim,
         profile,
@@ -178,6 +187,7 @@ pub async fn build_cluster(
         1,
         NodeId(n_clients as u32 + 1),
         backend,
+        ccfg.ring_bytes,
     );
     let nodes = vec![primary.clone(), backup.clone()];
 

@@ -410,6 +410,7 @@ async fn run_inner(sim: &Sim, profile: &Profile, params: FailoverParams) -> Fail
     };
 
     let serving = bed.nodes[bed.mount.primary()].clone();
+    let metrics = sim.metrics();
     let mut ship = (0u64, 0u64, 0u64);
     for n in &bed.nodes {
         if let Some(s) = n.shipper.borrow().as_ref() {
@@ -432,16 +433,9 @@ async fn run_inner(sim: &Sim, profile: &Profile, params: FailoverParams) -> Fail
         corrupt_records: corrupt_total.get(),
         redriven_writes,
         verf_mismatches,
-        cross_epoch_replays: bed
-            .nodes
-            .iter()
-            .map(|n| n.rpc.stats.cross_epoch_replays.get())
-            .sum(),
-        drc_replays: bed
-            .nodes
-            .iter()
-            .map(|n| n.rpc.stats.drc_replays.get())
-            .sum(),
+        // Both nodes' servers, summed by the registry.
+        cross_epoch_replays: metrics.get("server.drc.cross_epoch_replays").unwrap_or(0),
+        drc_replays: metrics.get("server.drc.replays").unwrap_or(0),
         shipped_records: ship.0,
         shipped_bytes: ship.1,
         ship_blocked: ship.2,

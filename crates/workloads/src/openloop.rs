@@ -668,7 +668,7 @@ async fn run_inner(sim: &Sim, profile: &Profile, params: OpenLoopParams) -> Open
                     at: sim2.now(),
                     in_flight: shared2.outstanding.iter().map(|c| c.get() as u64).sum(),
                     queue_depth: rpc2.qos_depth() as u64,
-                    server_sheds: rpc2.stats.sheds.get(),
+                    server_sheds: rpc2.stats.sheds(),
                     client_sheds: shared2.client_sheds.get(),
                 });
             }
@@ -867,11 +867,11 @@ async fn run_inner(sim: &Sim, profile: &Profile, params: OpenLoopParams) -> Open
         overload_failures: shared.overload_failures.get(),
         other_errors: shared.other_errors.get(),
         unfinished,
-        server_sheds: rpc.stats.sheds.get(),
+        server_sheds: rpc.stats.sheds(),
         deadline_sheds,
         busy_replies,
         qos_peak_depth: rpc.stats.qos_peak_depth.get(),
-        credit_clamps: rpc.stats.credit_clamps.get(),
+        credit_clamps: rpc.stats.all_credit_clamps(),
         goodput_ops: in_window.len() as f64 / window_secs,
         goodput_mbps: window_bytes as f64 / window_secs / 1e6,
         p50_us: pick(&all, 0.50),

@@ -114,19 +114,16 @@ pub(crate) fn build_fs_for(
             let cache = ram_bytes.saturating_sub(OS_RESERVE).max(128 << 20);
             let fs: Rc<Fs<CachedDiskStore>> =
                 Rc::new(Fs::new(sim, CachedDiskStore::new(raid, cache, 256 * 1024)));
-            fs.store().cache().bind_metrics(&sim.metrics());
             (Rc::new(fs.clone()) as Rc<dyn Vfs>, Some(fs))
         }
         Backend::WalRaid { ram_bytes } => {
             let raid = Raid0::paper_array(sim);
             let cache = ram_bytes.saturating_sub(OS_RESERVE).max(128 << 20);
             let wal = fs_backend::Wal::new(sim, fs_backend::WalConfig::default());
-            wal.bind_metrics(&sim.metrics());
             let fs: Rc<Fs<CachedDiskStore>> = Rc::new(Fs::new(
                 sim,
                 CachedDiskStore::with_wal(raid, cache, 256 * 1024, wal),
             ));
-            fs.store().cache().bind_metrics(&sim.metrics());
             (Rc::new(fs.clone()) as Rc<dyn Vfs>, Some(fs))
         }
     }

@@ -21,6 +21,11 @@ if [ "${SKIP_TESTS:-0}" != "1" ]; then
     cargo test -q
 fi
 
+# The benchmark is a workspace of its own that calls the program's
+# public API; build it so an API change cannot break it unnoticed.
+echo "==> cargo build --release --offline --manifest-path perfbench/Cargo.toml"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> simperf --smoke (disabled-tracing hot-path gate + span-tracing overhead gate <=10%)"
 cargo run --release -p bench --bin simperf -- --smoke
 
