@@ -34,38 +34,33 @@ fn params(design: Design, strategy: StrategyKind) -> AdversaryParams {
     }
 }
 
-/// Fail a gate: dump the node's flight-recorder ring (the always-on
-/// last-N event log) to `results/` for postmortem, then exit nonzero.
-fn fail(tag: &str, msg: &str, flight: &[sim_core::FlightRecord]) -> ! {
-    if !flight.is_empty() {
-        let name = format!(
-            "flight_adversary_{}.txt",
-            tag.to_ascii_lowercase().replace(['/', ' '], "_")
-        );
-        bench::emit_results_file(&name, &sim_core::format_flight(flight));
-    }
-    eprintln!("FAIL {tag}: {msg}");
-    std::process::exit(1);
+/// Flight-dump file stem for a gate failure at sweep point `tag`.
+fn stem(tag: &str) -> String {
+    format!("adversary_{}", tag.to_ascii_lowercase())
 }
 
 /// Invariants every point of the sweep must hold.
 fn check(tag: &str, base: &AdversaryResult, atk: &AdversaryResult) {
+    let stem = stem(tag);
     if atk.corrupt_records != 0 {
-        fail(
+        bench::fail_gate(
+            &stem,
             tag,
             &format!("{} corrupt honest records", atk.corrupt_records),
             &atk.flight,
         );
     }
     if base.violations != 0 || base.quarantines != 0 {
-        fail(
+        bench::fail_gate(
+            &stem,
             tag,
             "honest-only baseline charged with violations",
             &base.flight,
         );
     }
     if atk.violations == 0 || atk.quarantines == 0 {
-        fail(
+        bench::fail_gate(
+            &stem,
             tag,
             "attack catalog never tripped the defenses",
             &atk.flight,
@@ -83,7 +78,8 @@ fn check(tag: &str, base: &AdversaryResult, atk: &AdversaryResult) {
         }
     }
     if total != per_kind {
-        fail(
+        bench::fail_gate(
+            &stem,
             tag,
             &format!(
                 "server.violations.total is {total} but the per-kind series sum to {per_kind}"
@@ -92,7 +88,8 @@ fn check(tag: &str, base: &AdversaryResult, atk: &AdversaryResult) {
         );
     }
     if atk.tpt_revocations != atk.exposures_revoked {
-        fail(
+        bench::fail_gate(
+            &stem,
             tag,
             &format!(
                 "{} exposures revoked but the TPT ledger records {}",
@@ -103,7 +100,8 @@ fn check(tag: &str, base: &AdversaryResult, atk: &AdversaryResult) {
     }
     let ratio = atk.goodput_mb_s / base.goodput_mb_s;
     if ratio < 0.8 {
-        fail(
+        bench::fail_gate(
+            &stem,
             tag,
             &format!(
                 "honest goodput degraded {:.1}% under attack (bound 20%)",
@@ -122,17 +120,20 @@ fn smoke() {
         p.attack_rounds = 4;
         let base = run_adversary(SEED, &profile, AdversaryParams { attackers: 0, ..p });
         let atk = run_adversary(SEED, &profile, p);
-        check(&format!("{design:?}"), &base, &atk);
+        let tag = format!("{design:?}");
+        check(&tag, &base, &atk);
         if design == Design::ReadRead && atk.exposures_revoked == 0 {
-            fail(
-                "ReadRead",
+            bench::fail_gate(
+                &stem(&tag),
+                &tag,
                 "TTL reaper never revoked a withheld exposure",
                 &atk.flight,
             );
         }
         if atk.stale_reads_ok != 0 {
-            fail(
-                &format!("{design:?}"),
+            bench::fail_gate(
+                &stem(&tag),
+                &tag,
                 &format!(
                     "{} stale steering-tag probes read server memory",
                     atk.stale_reads_ok
@@ -162,10 +163,12 @@ fn smoke() {
         p.rfp = true;
         let base = run_adversary(SEED, &profile, AdversaryParams { attackers: 0, ..p });
         let atk = run_adversary(SEED, &profile, p);
-        check(&format!("{design:?}+rfp"), &base, &atk);
+        let tag = format!("{design:?}+rfp");
+        check(&tag, &base, &atk);
         if atk.rfp_stale_ok != 0 {
-            fail(
-                &format!("{design:?}+rfp"),
+            bench::fail_gate(
+                &stem(&tag),
+                &tag,
                 &format!(
                     "{} dead-session reply-slot probes read server memory",
                     atk.rfp_stale_ok
@@ -174,8 +177,9 @@ fn smoke() {
             );
         }
         if atk.rfp_stale_refused == 0 {
-            fail(
-                &format!("{design:?}+rfp"),
+            bench::fail_gate(
+                &stem(&tag),
+                &tag,
                 "no reply-slot probe was ever fired and refused",
                 &atk.flight,
             );
@@ -242,7 +246,8 @@ fn main() {
         let atk = run_adversary(SEED, &profile, p);
         check(&tag, &base, &atk);
         if rfp && (atk.rfp_stale_ok != 0 || atk.rfp_stale_refused == 0) {
-            fail(
+            bench::fail_gate(
+                &stem(&tag),
                 &tag,
                 &format!(
                     "reply-slot probes: {} landed, {} refused (want 0 landed, > 0 refused)",

@@ -44,31 +44,18 @@ fn expected_writes(p: &ChaosParams) -> u64 {
     p.clients as u64 * p.records_per_client
 }
 
-/// Dump the run's flight-recorder ring next to the failure message and
-/// exit: the last [`sim_core::FLIGHT_CAPACITY`] records of what the
-/// protocol machinery did, sim-time stamped, always captured.
-fn fail_with_flight(tag: &str, msg: &str, flight: &[sim_core::FlightRecord]) -> ! {
-    if !flight.is_empty() {
-        let name = format!(
-            "flight_{}.txt",
-            tag.replace([' ', '/', '@', '%'], "_").replace('.', "_")
-        );
-        bench::emit_results_file(&name, &sim_core::format_flight(flight));
-    }
-    eprintln!("FAIL {tag}: {msg}");
-    std::process::exit(1);
-}
-
 fn check(tag: &str, p: &ChaosParams, r: &ChaosResult) {
     if r.corrupt_records != 0 {
-        fail_with_flight(
+        bench::fail_gate(
+            tag,
             tag,
             &format!("{} corrupt records", r.corrupt_records),
             &r.flight,
         );
     }
     if r.fs_writes != expected_writes(p) {
-        fail_with_flight(
+        bench::fail_gate(
+            tag,
             tag,
             &format!(
                 "{} WRITEs applied, expected {} (lost or double-applied)",
@@ -85,18 +72,16 @@ fn smoke() {
     for design in [Design::ReadWrite, Design::ReadRead] {
         let p = params(design, 0.01, 1);
         let a = run_chaos(0xC0FFEE, &profile, p);
-        check(&format!("{design:?}"), &p, &a);
+        let tag = format!("{design:?}");
+        check(&tag, &p, &a);
         if a.reconnects == 0 {
-            fail_with_flight(
-                &format!("{design:?}"),
-                "forced QP error was not recovered",
-                &a.flight,
-            );
+            bench::fail_gate(&tag, &tag, "forced QP error was not recovered", &a.flight);
         }
         let b = run_chaos(0xC0FFEE, &profile, p);
         if a.fingerprint != b.fingerprint {
-            fail_with_flight(
-                &format!("{design:?}"),
+            bench::fail_gate(
+                &tag,
+                &tag,
                 &format!(
                     "same seed, different traces ({:#x} vs {:#x})",
                     a.fingerprint, b.fingerprint
@@ -116,14 +101,16 @@ fn smoke() {
     let p = crash_params(Design::ReadWrite, 0.01, 400);
     let a = run_chaos(0xC0FFEE, &profile, p);
     if a.corrupt_records != 0 {
-        fail_with_flight(
+        bench::fail_gate(
+            "crash",
             "crash",
             &format!("{} corrupt records", a.corrupt_records),
             &a.flight,
         );
     }
     if a.verf_mismatches == 0 || a.redriven_writes == 0 {
-        fail_with_flight(
+        bench::fail_gate(
+            "crash",
             "crash",
             &format!(
                 "crash landed outside the burst ({} mismatches, {} re-driven)",
@@ -133,7 +120,8 @@ fn smoke() {
         );
     }
     if a.wal_committed_records == 0 {
-        fail_with_flight(
+        bench::fail_gate(
+            "crash",
             "crash",
             "final COMMIT landed no WAL commit marker",
             &a.flight,
@@ -141,7 +129,8 @@ fn smoke() {
     }
     let b = run_chaos(0xC0FFEE, &profile, p);
     if a.fingerprint != b.fingerprint {
-        fail_with_flight(
+        bench::fail_gate(
+            "crash",
             "crash",
             &format!(
                 "same seed, different traces ({:#x} vs {:#x})",
@@ -177,7 +166,12 @@ const KILL_FLUSH_MARKER_US: u64 = 1860;
 const STALL_BOUND_US: u64 = 300_000;
 
 fn failover_fail(tag: &str, msg: &str, flight: &[sim_core::FlightRecord]) -> ! {
-    fail_with_flight(&format!("failover_{tag}"), msg, flight);
+    bench::fail_gate(
+        &format!("failover_{tag}"),
+        &format!("failover_{tag}"),
+        msg,
+        flight,
+    );
 }
 
 fn failover_check(tag: &str, r: &FailoverResult, expect_kill: bool) {

@@ -52,11 +52,8 @@ fn base_params(duration_ms: u64) -> OpenLoopParams {
     }
 }
 
-/// Fail a gate: dump the flight ring and the timeline tail, then exit.
+/// Fail a gate: dump the timeline tail, then the flight ring, and exit.
 fn fail(tag: &str, msg: &str, r: &OpenLoopResult) -> ! {
-    if !r.flight.is_empty() {
-        bench::emit_results_file("flight_loadcurve.txt", &sim_core::format_flight(&r.flight));
-    }
     if !r.timeline.is_empty() {
         bench::emit_results_file("loadcurve_timeline.csv", &load_timeline_csv(&r.timeline));
         let b = r.timeline.last().unwrap();
@@ -72,8 +69,7 @@ fn fail(tag: &str, msg: &str, r: &OpenLoopResult) -> ! {
             b.client_sheds
         );
     }
-    eprintln!("FAIL {tag}: {msg}");
-    std::process::exit(1);
+    bench::fail_gate("loadcurve", tag, msg, &r.flight)
 }
 
 fn row(t: &mut Table, label: &str, frac: f64, r: &OpenLoopResult) {

@@ -105,6 +105,24 @@ pub fn emit_bench_json(name: &str, json: &str) {
     }
 }
 
+/// Fail a smoke gate: dump the run's flight-recorder ring (the last
+/// [`sim_core::FLIGHT_CAPACITY`] records of what the protocol machinery
+/// did, sim-time stamped, always captured) to
+/// `results/flight_<file_stem>.txt` when there is one, print
+/// `FAIL <tag>: <msg>` and exit with status 1. Spaces and `/@%.` in
+/// `file_stem` become `_`.
+pub fn fail_gate(file_stem: &str, tag: &str, msg: &str, flight: &[sim_core::FlightRecord]) -> ! {
+    if !flight.is_empty() {
+        let name = format!(
+            "flight_{}.txt",
+            file_stem.replace([' ', '/', '@', '%', '.'], "_")
+        );
+        emit_results_file(&name, &sim_core::format_flight(flight));
+    }
+    eprintln!("FAIL {tag}: {msg}");
+    std::process::exit(1);
+}
+
 /// Write an arbitrary artifact (trace JSON, timeline CSV, flight dump)
 /// to `results/<name>`.
 pub fn emit_results_file(name: &str, contents: &str) {

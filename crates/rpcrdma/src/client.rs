@@ -34,6 +34,31 @@ use crate::reg::{IoBuf, Registrar};
 use crate::rfp::{decode_slot, SlotView, SLOT_OVERHEAD};
 use crate::router::CompletionRouter;
 
+/// Alignment for `RDMA_MSGP` payloads.
+const MSGP_ALIGN: u32 = 64;
+
+/// Uniform random extra backoff `[0, RETRANS_JITTER]` added to every
+/// retransmission and shed back-off wait (decorrelates client retry
+/// storms).
+const RETRANS_JITTER: SimDuration = SimDuration::from_micros(500);
+
+/// Wait before rebuilding a connection after a QP error (models CM
+/// teardown, route resolution and QP re-creation).
+pub const RECONNECT_DELAY: SimDuration = SimDuration::from_millis(2);
+
+/// Base back-off after a busy (shed) reply: rejection `n` waits
+/// `QOS_SHED_BACKOFF << min(n, 6)` plus jitter before re-offering the
+/// same XID.
+const QOS_SHED_BACKOFF: SimDuration = SimDuration::from_micros(400);
+
+/// Busy replies tolerated per call before it fails with
+/// [`TransportError::Overloaded`].
+const QOS_MAX_REJECTIONS: u32 = 64;
+
+/// Cap on the exponential reply-slot poll backoff: bounds the latency
+/// an RFP reply can wait in its slot once it has landed.
+pub const RFP_POLL_MAX: SimDuration = SimDuration::from_micros(240);
+
 /// Bulk-data parameters for one call.
 #[derive(Default)]
 pub struct BulkParams {
@@ -261,7 +286,7 @@ impl RdmaRpcClient {
     }
 
     /// Install the connection-recovery path. On a QP error the client
-    /// waits `reconnect_delay`, asks the connector for a fresh
+    /// waits [`RECONNECT_DELAY`], asks the connector for a fresh
     /// connected QP (the callback also rebuilds the server side),
     /// re-registers through the registrar, and lets pending calls
     /// retransmit. Without a connector, QP errors are fatal and every
@@ -428,7 +453,7 @@ impl RdmaRpcClient {
         let inline_body: Bytes;
         if let Some(data) = &msgp_data {
             // RDMA_MSGP framing: head, padding to the alignment, data.
-            let align = inner.cfg.msgp_align as usize;
+            let align = MSGP_ALIGN as usize;
             hdr.msg_type = MsgType::Msgp;
             hdr.msgp = Some((align as u32, rpc_msg.len() as u32));
             let pad = (align - rpc_msg.len() % align) % align;
@@ -574,7 +599,7 @@ impl RdmaRpcClient {
                                 format!("client busy-reply xid={xid} sheds={sheds}")
                             });
                             inner.pending.borrow_mut().remove(&xid);
-                            if sheds > inner.cfg.qos_max_rejections {
+                            if sheds > QOS_MAX_REJECTIONS {
                                 break Err(TransportError::Overloaded {
                                     xid,
                                     rejections: sheds,
@@ -655,35 +680,31 @@ impl RdmaRpcClient {
     fn backoff(&self, attempt: u32) -> SimDuration {
         let inner = &self.inner;
         let base = inner.cfg.call_timeout.as_nanos();
-        let mut wait = SimDuration::from_nanos(base << attempt.min(6));
-        let jitter = inner.cfg.retrans_jitter;
-        if attempt > 0 && !jitter.is_zero() {
-            let extra = inner
-                .retrans_rng
-                .borrow_mut()
-                .gen_range(jitter.as_nanos() + 1);
-            wait += SimDuration::from_nanos(extra);
+        let wait = SimDuration::from_nanos(base << attempt.min(6));
+        if attempt > 0 {
+            wait + self.jitter()
+        } else {
+            wait
         }
-        wait
     }
 
-    /// Wait after busy (shed) reply `n` (1-based): exponential on the
-    /// configured base, doubling up to 64x, plus uniform jitter so a
+    /// Wait after busy (shed) reply `n` (1-based): exponential on
+    /// [`QOS_SHED_BACKOFF`], doubling up to 64x, plus uniform jitter so a
     /// fleet of shed clients de-synchronizes instead of re-offering in
     /// lockstep — the client half of the load-shedding loop.
     fn shed_backoff(&self, sheds: u32) -> SimDuration {
-        let inner = &self.inner;
-        let base = inner.cfg.qos_shed_backoff.as_nanos().max(1);
-        let mut wait = SimDuration::from_nanos(base << sheds.min(6));
-        let jitter = inner.cfg.retrans_jitter;
-        if !jitter.is_zero() {
-            let extra = inner
-                .retrans_rng
-                .borrow_mut()
-                .gen_range(jitter.as_nanos() + 1);
-            wait += SimDuration::from_nanos(extra);
-        }
-        wait
+        let base = QOS_SHED_BACKOFF.as_nanos();
+        SimDuration::from_nanos(base << sheds.min(6)) + self.jitter()
+    }
+
+    /// Uniform random extra wait in `[0, RETRANS_JITTER]`.
+    fn jitter(&self) -> SimDuration {
+        let extra = self
+            .inner
+            .retrans_rng
+            .borrow_mut()
+            .gen_range(RETRANS_JITTER.as_nanos() + 1);
+        SimDuration::from_nanos(extra)
     }
 
     /// Resize the outstanding-call window to the server's latest grant
@@ -935,7 +956,7 @@ fn spawn_router(sim: &Sim, hca: &Hca, qp: &Qp, cfg: &RpcRdmaConfig) -> Completio
 /// paced off an EWMA of past fetch latencies — the poller sleeps
 /// through most of the expected turnaround, then probes at the
 /// `rfp_poll_initial` floor while inside the expected window and backs
-/// off exponentially to `rfp_poll_max` once past it (cold start, with
+/// off exponentially to [`RFP_POLL_MAX`] once past it (cold start, with
 /// no estimate yet, goes straight to the exponential ladder). Spawned
 /// once per transmission attempt; exits as soon as the call is no
 /// longer pending, the connection is recovering, or the ring ad it
@@ -971,7 +992,7 @@ fn spawn_slot_poller(inner: Rc<ClientInner>, xid: u32) {
             wait = if est > SimDuration::ZERO && waited < est * 2 {
                 floor
             } else {
-                (wait + wait).min(inner.cfg.rfp_poll_max)
+                (wait + wait).min(RFP_POLL_MAX)
             };
             if inner.dead.get() || inner.recovering.get() {
                 return;
@@ -1090,7 +1111,7 @@ fn start_recovery(inner: &Rc<ClientInner>) {
         .trace("rpc", || "client starting qp recovery".to_string());
     let inner = inner.clone();
     inner.sim.clone().spawn(async move {
-        inner.sim.sleep(inner.cfg.reconnect_delay).await;
+        inner.sim.sleep(RECONNECT_DELAY).await;
         // Build the reconnect future while holding the borrow, await
         // it after releasing it: a cluster connector may park here
         // until a promotion gate opens, and set_connector must stay

@@ -31,7 +31,7 @@ pub mod sanitize;
 pub mod server;
 pub mod service;
 
-pub use client::{BulkParams, CallReply, ClientStats, RdmaRpcClient};
+pub use client::{BulkParams, CallReply, ClientStats, RdmaRpcClient, RECONNECT_DELAY};
 pub use config::{Design, RpcRdmaConfig};
 pub use header::{
     MsgType, RdmaHeader, ReadChunk, RfpAd, Segment, MAX_WIRE_CHUNKS, MAX_WIRE_SEGMENTS,
@@ -44,6 +44,6 @@ pub use repl::{
     RING_SENTINEL,
 };
 pub use rfp::{RingLayout, SlotView, SLOT_OVERHEAD};
-pub use sanitize::{sanitize_header, ProtocolViolation};
+pub use sanitize::{sanitize_header, ProtocolViolation, MAX_CHUNK_BYTES, MAX_CHUNK_SEGMENTS};
 pub use server::{RdmaRpcServer, ServerStats};
 pub use service::{RdmaDispatch, RdmaService};

@@ -32,16 +32,21 @@ pub struct CompletionRouter {
 }
 
 impl CompletionRouter {
-    /// Spawn the router task draining `cq`.
-    pub fn spawn(sim: &Sim, cq: Cq) -> CompletionRouter {
-        let router = CompletionRouter {
+    /// A router with no waiters and no consumer task yet.
+    fn new() -> CompletionRouter {
+        CompletionRouter {
             inner: Rc::new(RouterInner {
                 waiters: RefCell::new(HashMap::new()),
                 orphans: RefCell::new(Vec::new()),
                 on_error: RefCell::new(None),
                 spin_wake: RefCell::new(None),
             }),
-        };
+        }
+    }
+
+    /// Spawn the router task draining `cq`.
+    pub fn spawn(sim: &Sim, cq: Cq) -> CompletionRouter {
+        let router = CompletionRouter::new();
         let r2 = router.clone();
         sim.spawn(async move {
             loop {
@@ -64,14 +69,7 @@ impl CompletionRouter {
     /// client neither spins forever nor keeps the simulation's timer
     /// wheel populated.
     pub fn spawn_polling(sim: &Sim, cq: Cq, cpu: Cpu, quantum: SimDuration) -> CompletionRouter {
-        let router = CompletionRouter {
-            inner: Rc::new(RouterInner {
-                waiters: RefCell::new(HashMap::new()),
-                orphans: RefCell::new(Vec::new()),
-                on_error: RefCell::new(None),
-                spin_wake: RefCell::new(None),
-            }),
-        };
+        let router = CompletionRouter::new();
         let r2 = router.clone();
         let sim2 = sim.clone();
         let quantum = quantum.max(SimDuration::from_nanos(100));

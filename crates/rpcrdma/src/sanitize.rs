@@ -10,8 +10,8 @@
 //! segments so the server scribbles over its own placements.
 //!
 //! [`sanitize_header`] runs on every inbound message before any
-//! allocation or RDMA is issued, enforcing the caps from
-//! [`RpcRdmaConfig`]. Each rejection is a typed [`ProtocolViolation`];
+//! allocation or RDMA is issued, enforcing [`MAX_CHUNK_SEGMENTS`] and
+//! [`MAX_CHUNK_BYTES`]. Each rejection is a typed [`ProtocolViolation`];
 //! the server's admission control (see `server.rs`) clamps the
 //! offender's credit grant, counts the violation under
 //! `server.violations.*`, and quarantines the QP once the connection's
@@ -19,7 +19,20 @@
 //! notice.
 
 use crate::config::RpcRdmaConfig;
-use crate::header::{MsgType, RdmaHeader, Segment};
+use crate::header::{MsgType, RdmaHeader, Segment, MAX_WIRE_SEGMENTS};
+
+/// Most segments the server accepts in any one client-advertised chunk
+/// list (read list, one write chunk, reply chunk) before declaring a
+/// protocol violation. Sits below the wire-decode cap and comfortably
+/// above the honest worst case (an all-physical 1 MiB buffer fans out
+/// into ~16 runs on the 64 KiB-mean layout).
+pub const MAX_CHUNK_SEGMENTS: u32 = 96;
+const _: () = assert!(MAX_CHUNK_SEGMENTS < MAX_WIRE_SEGMENTS);
+
+/// Most bytes a single header may advertise across all its chunk
+/// lists. Bounds the scratch memory and RDMA traffic one hostile call
+/// can demand from the server.
+pub const MAX_CHUNK_BYTES: u64 = 8 << 20;
 
 /// A malformed or hostile header, detected before the server spent
 /// memory or RDMA on it. The `metric_key` of each variant names its
@@ -29,19 +42,19 @@ pub enum ProtocolViolation {
     /// The header failed to decode at all (byte soup, bad version,
     /// truncated chunk lists, or counts beyond the wire caps).
     GarbageHeader,
-    /// More segments in one chunk list than `cfg.max_chunk_segments`.
+    /// More segments in one chunk list than [`MAX_CHUNK_SEGMENTS`].
     TooManySegments {
         /// Segments the client advertised.
         count: u32,
-        /// The configured cap.
+        /// The cap.
         cap: u32,
     },
     /// The header's chunk lists advertise more total bytes than
-    /// `cfg.max_chunk_bytes`.
+    /// [`MAX_CHUNK_BYTES`].
     ChunkBytesExceeded {
         /// Bytes the client advertised across all chunk lists.
         bytes: u64,
-        /// The configured cap.
+        /// The cap.
         cap: u64,
     },
     /// A zero-length segment (spins transfer loops, never legitimate).
@@ -154,11 +167,10 @@ pub fn sanitize_header(hdr: &RdmaHeader, cfg: &RpcRdmaConfig) -> Result<(), Prot
             _ => return Err(ProtocolViolation::BadMsgp),
         }
     }
-    let cap = cfg.max_chunk_segments;
-    if hdr.read_chunks.len() as u32 > cap {
+    if hdr.read_chunks.len() as u32 > MAX_CHUNK_SEGMENTS {
         return Err(ProtocolViolation::TooManySegments {
             count: hdr.read_chunks.len() as u32,
-            cap,
+            cap: MAX_CHUNK_SEGMENTS,
         });
     }
     let mut total: u64 = 0;
@@ -167,15 +179,15 @@ pub fn sanitize_header(hdr: &RdmaHeader, cfg: &RpcRdmaConfig) -> Result<(), Prot
         total = total.saturating_add(c.segment.len);
     }
     for chunk in &hdr.write_chunks {
-        total = total.saturating_add(check_chunk(chunk, cap)?);
+        total = total.saturating_add(check_chunk(chunk)?);
     }
     if let Some(chunk) = &hdr.reply_chunk {
-        total = total.saturating_add(check_chunk(chunk, cap)?);
+        total = total.saturating_add(check_chunk(chunk)?);
     }
-    if total > cfg.max_chunk_bytes {
+    if total > MAX_CHUNK_BYTES {
         return Err(ProtocolViolation::ChunkBytesExceeded {
             bytes: total,
-            cap: cfg.max_chunk_bytes,
+            cap: MAX_CHUNK_BYTES,
         });
     }
     Ok(())
@@ -191,11 +203,11 @@ fn check_segment(seg: &Segment) -> Result<(), ProtocolViolation> {
 /// Validate one segment array (a write chunk or the reply chunk):
 /// count cap, no zero-length segments, no overlapping address ranges.
 /// Returns the chunk's total advertised bytes.
-fn check_chunk(segs: &[Segment], cap: u32) -> Result<u64, ProtocolViolation> {
-    if segs.len() as u32 > cap {
+fn check_chunk(segs: &[Segment]) -> Result<u64, ProtocolViolation> {
+    if segs.len() as u32 > MAX_CHUNK_SEGMENTS {
         return Err(ProtocolViolation::TooManySegments {
             count: segs.len() as u32,
-            cap,
+            cap: MAX_CHUNK_SEGMENTS,
         });
     }
     let mut total: u64 = 0;
@@ -248,7 +260,7 @@ mod tests {
     fn segment_count_capped() {
         let c = cfg();
         let mut h = RdmaHeader::new(1, 1, MsgType::Msg);
-        for i in 0..=c.max_chunk_segments as u64 {
+        for i in 0..=MAX_CHUNK_SEGMENTS as u64 {
             h.read_chunks.push(ReadChunk {
                 position: 0,
                 segment: seg(8, i * 8),
@@ -260,7 +272,7 @@ mod tests {
         ));
         let mut h = RdmaHeader::new(1, 1, MsgType::Msg);
         h.write_chunks.push(
-            (0..=c.max_chunk_segments as u64)
+            (0..=MAX_CHUNK_SEGMENTS as u64)
                 .map(|i| seg(8, i * 8))
                 .collect(),
         );

@@ -26,7 +26,7 @@
 //! before the server allocates scratch or issues RDMA. Violations are
 //! counted (`server.violations.*`), clamp the offender's per-connection
 //! credit grant (halved per strike, restored after a streak of good
-//! calls), and — past `cfg.violation_quarantine` strikes — quarantine
+//! calls), and — past `VIOLATION_QUARANTINE` strikes — quarantine
 //! the connection by forcing its QP into the error state. Honest
 //! clients on other QPs keep their full windows. When
 //! `cfg.exposure_ttl` is non-zero, a per-connection reaper
@@ -38,7 +38,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use ib_verbs::{Access, Buffer, Hca, Opcode, Qp, Sge, Srq, WrId};
+use ib_verbs::{Access, Hca, Opcode, Qp, Sge, WrId};
 use onc_rpc::msg::{decode_call, encode_reply};
 use onc_rpc::{AcceptStat, CallContext, DrcKey, DrcOutcome, DuplicateRequestCache, ReplyHeader};
 use sim_core::stats::Counter;
@@ -46,6 +46,7 @@ use sim_core::sync::Semaphore;
 use sim_core::{MetricsRegistry, Payload, Resource, SgList, Sim, SimDuration, SimTime};
 use xdr::{Encoder, XdrCodec};
 
+use crate::client::RFP_POLL_MAX;
 use crate::config::{Design, RpcRdmaConfig};
 use crate::header::{MsgType, RdmaHeader, ReadChunk, RfpAd, Segment};
 use crate::qos::{ShedReason, TenantScheduler};
@@ -65,6 +66,56 @@ const GOOD_OPS_PER_RESTORE: u32 = 8;
 /// on, dispatch workers interleave fairly with connection receive
 /// loops instead of queueing behind whatever woke first.
 const QOS_DISPATCH_CLASS: usize = 1;
+
+/// Completed replies the duplicate request cache retains (bounded LRU;
+/// evicted entries mean very late duplicates re-execute).
+const DRC_CAPACITY: usize = 1024;
+
+/// Protocol violations tolerated on one connection before the server
+/// quarantines it (forces the QP into the error state, tearing down
+/// only that client).
+const VIOLATION_QUARANTINE: u32 = 8;
+
+/// Dispatcher tasks draining the QoS queue: the server's effective
+/// service concurrency under overload. Small on purpose: each worker
+/// occupies the serialized task queue when it dispatches, so the pool
+/// depth bounds how much in-service work a backlogged tenant can put
+/// in front of a just-arrived one — the fairness harness's honest-p99
+/// bound depends on it. Enough workers remain to cover per-op wire/CPU
+/// latency and keep the serial stage saturated.
+const QOS_WORKERS: u32 = 8;
+
+/// Calls the QoS queue holds across all tenants before enqueue itself
+/// sheds (busy reply, no dispatch).
+const QOS_QUEUE_CAP: u32 = 256;
+
+/// Calls one tenant may hold in the QoS queue before its surplus sheds
+/// — hog isolation: one connection's burst cannot consume the shared
+/// queue. Above half of it, the tenant's credit grant is clamped,
+/// pushing back through flow control.
+const QOS_TENANT_BACKLOG: u32 = 64;
+
+/// CoDel-style sojourn target: a queued call older than this at
+/// dispatch time is shed instead of serviced, so under sustained
+/// overload the queue delay the server adds stays bounded.
+const QOS_TARGET_DELAY: SimDuration = SimDuration::from_millis(2);
+
+/// Largest wire-format reply (RPC/RDMA header plus inline body) the
+/// server deposits into an RFP reply slot; anything bigger takes the
+/// Send path. Each slot also carries the seqlock frame
+/// ([`crate::rfp::SLOT_OVERHEAD`]) on top of this payload budget.
+const RFP_SLOT_SIZE: u64 = 512;
+
+/// Slots in a connection's RFP reply ring (raised to the credit window
+/// if smaller, so no in-flight call is assigned another's
+/// `xid % nslots` slot).
+const RFP_SLOTS: u32 = 64;
+
+/// Backstop for doorbell batching (depth > 1 only): a WQE posted
+/// without filling the batch rings at most this much later, so
+/// concurrent ops posting within the window share the doorbell. The
+/// latency each op trades for the shared ring.
+pub const DOORBELL_FLUSH: SimDuration = SimDuration::from_micros(32);
 
 /// Server-side statistics (shared across connections). The counters
 /// are this server's instances of the `server.*` registry series, so
@@ -204,7 +255,7 @@ struct QueuedCall {
     qp: Qp,
     conn: Rc<ConnState>,
     /// Arrival instant; the dispatch worker sheds the call if its
-    /// sojourn exceeds `cfg.qos_target_delay` (CoDel-style).
+    /// sojourn exceeds [`QOS_TARGET_DELAY`] (CoDel-style).
     enq: SimTime,
 }
 
@@ -232,9 +283,6 @@ pub struct RdmaRpcServer {
     /// configured window; lower it under memory pressure and clients
     /// shrink their outstanding-call windows on the next reply.
     credit_grant: Cell<u32>,
-    /// Shared receive pool when `cfg.server_srq` is set, with its
-    /// buffers (indexed by work-request id for re-posting).
-    srq: Option<(Srq, Vec<Buffer>)>,
     /// Duplicate request cache: retransmitted calls (same peer + XID)
     /// replay the original dispatch instead of re-executing it.
     drc: DuplicateRequestCache<crate::service::RdmaDispatch>,
@@ -259,25 +307,12 @@ impl RdmaRpcServer {
         registrar: Registrar,
         cfg: RpcRdmaConfig,
     ) -> Rc<RdmaRpcServer> {
-        let srq = cfg.server_srq.then(|| {
-            let srq = Srq::new();
-            let mut bufs = Vec::new();
-            for i in 0..(cfg.credits as u64 * 2) {
-                let buf = hca.mem().alloc(cfg.recv_buffer_size);
-                srq.post_recv(buf.clone(), 0, cfg.recv_buffer_size, WrId(i))
-                    .expect("posting srq receives");
-                bufs.push(buf);
-            }
-            srq.set_limit(cfg.credits as usize / 2);
-            srq.bind_metrics(&sim.metrics());
-            (srq, bufs)
-        });
-        let drc = DuplicateRequestCache::new(cfg.drc_capacity);
+        let drc = DuplicateRequestCache::new(DRC_CAPACITY);
         drc.bind_metrics(&sim.metrics(), "server.drc");
         let registry = sim.metrics();
         let qos = cfg.qos_enabled.then(|| {
             Rc::new(QosState {
-                sched: TenantScheduler::new(cfg.qos_queue_cap, cfg.qos_tenant_backlog),
+                sched: TenantScheduler::new(QOS_QUEUE_CAP, QOS_TENANT_BACKLOG),
                 work: Semaphore::new(0),
             })
         });
@@ -289,14 +324,13 @@ impl RdmaRpcServer {
             cfg,
             taskq: Resource::new(sim, "rpc-taskq", 1),
             credit_grant: Cell::new(cfg.credits),
-            srq,
             drc,
             service_epoch: Cell::new(0),
             qos,
             stats: Rc::new(ServerStats::new(&registry)),
         });
         if server.qos.is_some() {
-            for _ in 0..cfg.qos_workers.max(1) {
+            for _ in 0..QOS_WORKERS {
                 let server = server.clone();
                 server
                     .sim
@@ -307,11 +341,6 @@ impl RdmaRpcServer {
             }
         }
         server
-    }
-
-    /// The shared receive queue, when enabled.
-    pub fn srq(&self) -> Option<&Srq> {
-        self.srq.as_ref().map(|(s, _)| s)
     }
 
     /// The serialized task-queue resource (for utilization reports).
@@ -492,8 +521,7 @@ fn note_violation(server: &Rc<RdmaRpcServer>, conn: &ConnState, qp: &Qp, v: Prot
     }
     let strikes = conn.violations.get() + 1;
     conn.violations.set(strikes);
-    let budget = server.cfg.violation_quarantine;
-    if budget > 0 && strikes >= budget && !conn.closed.get() {
+    if strikes >= VIOLATION_QUARANTINE && !conn.closed.get() {
         server.sim.trace("rpc", || {
             format!(
                 "server quarantine peer={} after {strikes} violations",
@@ -536,22 +564,18 @@ async fn connection_loop(server: Rc<RdmaRpcServer>, qp: Qp) {
     // software and one doorbell flushes the batch. Safe because every
     // path below flushes before awaiting a completion.
     qp.set_doorbell_batch(cfg.server_doorbell_batch);
-    // Receive buffers: a shared pool (SRQ) across all connections, or a
-    // doubled credit window per connection (calls plus RDMA_DONEs).
+    // Receive buffers: a doubled credit window per connection (calls
+    // plus RDMA_DONEs).
     let mut recv_bufs = Vec::new();
-    if let Some((srq, _)) = &server.srq {
-        qp.set_srq(srq.clone());
-    } else {
-        for i in 0..(cfg.credits as u64 * 2) {
-            let buf = server.hca.mem().alloc(cfg.recv_buffer_size);
-            if qp
-                .post_recv(buf.clone(), 0, cfg.recv_buffer_size, WrId(i))
-                .is_err()
-            {
-                return;
-            }
-            recv_bufs.push(buf);
+    for i in 0..(cfg.credits as u64 * 2) {
+        let buf = server.hca.mem().alloc(cfg.recv_buffer_size);
+        if qp
+            .post_recv(buf.clone(), 0, cfg.recv_buffer_size, WrId(i))
+            .is_err()
+        {
+            return;
         }
+        recv_bufs.push(buf);
     }
     let conn = Rc::new(ConnState {
         wr_counter: Cell::new(1 << 40),
@@ -582,11 +606,7 @@ async fn connection_loop(server: Rc<RdmaRpcServer>, qp: Qp) {
             break; // connection torn down
         }
         let idx = c.wr_id.0 as usize;
-        if let Some((srq, bufs)) = &server.srq {
-            if idx < bufs.len() {
-                let _ = srq.post_recv(bufs[idx].clone(), 0, cfg.recv_buffer_size, c.wr_id);
-            }
-        } else if idx < recv_bufs.len() {
+        if idx < recv_bufs.len() {
             let _ = qp.post_recv(recv_bufs[idx].clone(), 0, cfg.recv_buffer_size, c.wr_id);
         }
         let Some(payload) = c.payload else { continue };
@@ -669,7 +689,7 @@ async fn connection_loop(server: Rc<RdmaRpcServer>, qp: Qp) {
                             // half its backlog cap gets its credit
                             // grant halved, pushing back through flow
                             // control before the hard cap sheds.
-                            if backlog > cfg.qos_tenant_backlog / 2 {
+                            if backlog > QOS_TENANT_BACKLOG / 2 {
                                 let g = conn.granted.get();
                                 if g > 1 {
                                     conn.granted.set((g / 2).max(1));
@@ -804,7 +824,7 @@ fn spawn_exposure_reaper(server: &Rc<RdmaRpcServer>, conn: &Rc<ConnState>) {
 }
 
 /// Build the connection's reply-slot ring if it doesn't exist yet:
-/// one registered, remotely readable buffer of `rfp_slots` seqlock
+/// one registered, remotely readable buffer of [`RFP_SLOTS`] seqlock
 /// slots (at least the credit window, so concurrent in-flight calls
 /// never share a slot). Registration strategies that fan the range
 /// out into multiple segments (all-physical) can't be described by a
@@ -814,9 +834,8 @@ async fn ensure_rfp_ring(server: &Rc<RdmaRpcServer>, conn: &Rc<ConnState>) {
         return;
     }
     conn.rfp_building.set(true);
-    let cfg = &server.cfg;
-    let nslots = cfg.rfp_slots.max(cfg.credits);
-    let layout = RingLayout::new(nslots, cfg.rfp_slot_size);
+    let nslots = RFP_SLOTS.max(server.cfg.credits);
+    let layout = RingLayout::new(nslots, RFP_SLOT_SIZE);
     let io = server
         .registrar
         .acquire_scratch(layout.ring_bytes(), Access::REMOTE_READ)
@@ -933,7 +952,7 @@ fn spawn_rfp_reaper(server: &Rc<RdmaRpcServer>, conn: &Rc<ConnState>) {
     let server = server.clone();
     let conn = conn.clone();
     let ttl = server.cfg.exposure_ttl;
-    let idle = ttl + server.cfg.rfp_poll_max * 2;
+    let idle = ttl + RFP_POLL_MAX * 2;
     let tick = (ttl / 4).max(SimDuration::from_micros(1));
     let sim = server.sim.clone();
     sim.clone().spawn(async move {
@@ -1002,9 +1021,7 @@ fn shed_call(server: &Rc<RdmaRpcServer>, why: &'static str, call: QueuedCall) {
         Bytes::copy_from_slice(enc.as_slice())
     };
     let _ = qp.post_send(Payload::real(wire), conn.alloc_wr(), false);
-    if server.cfg.server_doorbell_batch > 1 {
-        qp.flush();
-    }
+    qp.flush();
 }
 
 /// One QoS dispatch worker: parks on the work signal, takes the next
@@ -1013,13 +1030,12 @@ fn shed_call(server: &Rc<RdmaRpcServer>, why: &'static str, call: QueuedCall) {
 /// pool size is the server's service concurrency under overload.
 async fn qos_worker(server: Rc<RdmaRpcServer>) {
     let qos = server.qos.clone().expect("qos worker without qos state");
-    let target = server.cfg.qos_target_delay;
     loop {
         qos.work.acquire().await.forget();
         let Some((peer, call)) = qos.sched.dequeue() else {
             continue;
         };
-        if !target.is_zero() && server.sim.now() - call.enq > target {
+        if server.sim.now() - call.enq > QOS_TARGET_DELAY {
             // The queue already added more delay than the target;
             // answering "busy" now is cheaper for everyone than
             // servicing stale work the client may have given up on.
@@ -1136,24 +1152,20 @@ async fn handle_op(
             let total: u64 = data_chunks.iter().map(|c| c.segment.len).sum();
             let io = pull_chunks(&server, &qp, &conn, &data_chunks).await;
             let Some(io) = io else { return };
-            if cfg.server_zero_copy && !server.registrar.is_staged() {
+            if server.registrar.is_staged() {
+                // Data must move from the slab into the file system —
+                // the Cache strategy's pre-registered bounce buffers are
+                // the only path that still copies.
+                bulk_in = Some(SgList::from(io.read(0, total)));
+                cpu.copy(total).await;
+                server.stats.copied_bytes.add(total);
+            } else {
                 // Receive-side scatter: each pulled chunk leaves the
                 // window as its own refcounted piece and lands in the
                 // file system (page-cache extents) as-is — no pull-up
-                // copy, no flattening. Registration work is identical
-                // to the staged path (the scratch window was still
-                // acquired), only the host data movement disappears.
+                // copy, no flattening.
                 bulk_in = Some(io.read_sg(0, total));
                 server.stats.write_zero_copy_bytes.add(total);
-            } else {
-                bulk_in = Some(SgList::from(io.read(0, total)));
-                if server.registrar.is_staged() {
-                    // Data must move from the slab into the file system
-                    // — the Cache strategy's pre-registered bounce
-                    // buffers are the only path that still copies.
-                    cpu.copy(total).await;
-                    server.stats.copied_bytes.add(total);
-                }
             }
             server.stats.bulk_in.add(total);
             // Figure 4 points 8-9: server-side deregistration after the
@@ -1316,11 +1328,16 @@ async fn handle_op(
             if let Some(bulk) = &dispatch.bulk_out {
                 if !hdr.write_chunks.is_empty() {
                     let _s = server.sim.span("server", "rdma_write");
-                    let io = if cfg.server_zero_copy && !server.registrar.is_staged() {
-                        // Zero-copy pipeline: register a window over the
-                        // source pages (same TPT cost as staging) but
-                        // gather the file-system slices straight into
-                        // vectored Writes — no placement into scratch.
+                    let io = if server.registrar.is_staged() {
+                        // Cache: bounce through the pre-registered slab.
+                        let io = stage_source(&server, bulk, Access::LOCAL).await;
+                        write_into_segments(&qp, &conn, &io, bulk.len(), &hdr.write_chunks[0]);
+                        io
+                    } else {
+                        // Zero-copy: register a window over the source
+                        // pages but gather the file-system slices
+                        // straight into vectored Writes — no placement
+                        // into scratch.
                         let io = server
                             .registrar
                             .acquire_scratch(bulk.len(), Access::LOCAL)
@@ -1332,21 +1349,8 @@ async fn handle_op(
                             &io,
                             bulk,
                             &hdr.write_chunks[0],
-                        )
-                        .await;
+                        );
                         server.stats.zero_copy_bytes.add(bulk.len());
-                        io
-                    } else {
-                        let io = stage_source(&server, bulk, Access::LOCAL).await;
-                        write_into_segments(
-                            &server,
-                            &qp,
-                            &conn,
-                            &io,
-                            bulk.len(),
-                            &hdr.write_chunks[0],
-                        )
-                        .await;
                         io
                     };
                     rhdr.write_chunks
@@ -1362,7 +1366,7 @@ async fn handle_op(
                 };
                 let payload = SgList::from(Payload::real(reply_msg.clone()));
                 let io = stage_source(&server, &payload, Access::LOCAL).await;
-                write_into_segments(&server, &qp, &conn, &io, payload.len(), reply_segs).await;
+                write_into_segments(&qp, &conn, &io, payload.len(), reply_segs);
                 rhdr.msg_type = MsgType::Nomsg;
                 rhdr.reply_chunk = Some(echo_actual(reply_segs, payload.len()));
                 to_release.push(io);
@@ -1476,7 +1480,7 @@ async fn handle_op(
                 if cfg.server_doorbell_batch > 1 {
                     // Doorbell moderation: if the batch doesn't fill
                     // (which rings on its own), a backstop task rings
-                    // at most `server_doorbell_flush` later, so ops
+                    // at most `DOORBELL_FLUSH` later, so ops
                     // posting within the window share one doorbell.
                     // The ring is always scheduled before the await,
                     // so the completion cannot hang. (Depth 1 rang on
@@ -1486,10 +1490,9 @@ async fn handle_op(
                     // a partial batch early.
                     let qp2 = qp.clone();
                     let sim2 = server.sim.clone();
-                    let delay = cfg.server_doorbell_flush;
                     let rung = qp.doorbells();
                     server.sim.spawn(async move {
-                        sim2.sleep(delay).await;
+                        sim2.sleep(DOORBELL_FLUSH).await;
                         if qp2.doorbells() == rung {
                             qp2.flush();
                         }
@@ -1608,15 +1611,7 @@ async fn stage_source(server: &Rc<RdmaRpcServer>, data: &SgList, access: Access)
 
 /// RDMA Write `len` bytes of `io` into the client's segments, in order.
 /// Unsignaled: the following reply Send provides the ordering fence.
-async fn write_into_segments(
-    server: &Rc<RdmaRpcServer>,
-    qp: &Qp,
-    conn: &Rc<ConnState>,
-    io: &IoBuf,
-    len: u64,
-    segs: &[Segment],
-) {
-    let _ = server;
+fn write_into_segments(qp: &Qp, conn: &ConnState, io: &IoBuf, len: u64, segs: &[Segment]) {
     let mut remaining = len;
     let mut off = 0u64;
     for seg in segs {
@@ -1644,10 +1639,10 @@ async fn write_into_segments(
 /// which the HCA refuses for multi-entry local gathers (§4.3), so they
 /// post one WQE per piece and lean on doorbell batching instead.
 /// Unsignaled either way: the reply Send is the ordering fence.
-async fn write_sg_into_segments(
-    server: &Rc<RdmaRpcServer>,
+fn write_sg_into_segments(
+    server: &RdmaRpcServer,
     qp: &Qp,
-    conn: &Rc<ConnState>,
+    conn: &ConnState,
     io: &IoBuf,
     sgl: &SgList,
     segs: &[Segment],

@@ -189,6 +189,25 @@ fn bulk_read_delivers_correct_data_every_design_and_strategy() {
             assert!(user
                 .read(0, 200_000)
                 .content_eq(&Payload::synthetic(42, 200_000)));
+            // The strategy picks the data path: Cache bounces through
+            // its slab, every other strategy pushes (Read-Write) or
+            // exposes (Read-Read) the file-system pages uncopied.
+            let stats = &bed.server.stats;
+            let (copied, zero_copy) = match (strategy, design) {
+                (StrategyKind::Cache, _) => (200_000, 0),
+                (_, Design::ReadWrite) => (0, 200_000),
+                (_, Design::ReadRead) => (0, 0),
+            };
+            assert_eq!(
+                stats.copied_bytes.get(),
+                copied,
+                "copied bytes under {design:?}/{strategy:?}"
+            );
+            assert_eq!(
+                stats.zero_copy_bytes.get(),
+                zero_copy,
+                "zero-copy bytes under {design:?}/{strategy:?}"
+            );
         }
     }
 }
@@ -224,6 +243,25 @@ fn bulk_write_roundtrips_every_design_and_strategy() {
                 dec.get_u64().unwrap(),
                 expect_sum,
                 "write data corrupted under {design:?}/{strategy:?}"
+            );
+            // Both designs pull the same way: Cache bounces the pulled
+            // chunks through its slab, every other strategy scatters
+            // them into the file system uncopied.
+            let stats = &bed.server.stats;
+            let (copied, zero_copy) = if strategy == StrategyKind::Cache {
+                (100_000, 0)
+            } else {
+                (0, 100_000)
+            };
+            assert_eq!(
+                stats.copied_bytes.get(),
+                copied,
+                "copied bytes under {design:?}/{strategy:?}"
+            );
+            assert_eq!(
+                stats.write_zero_copy_bytes.get(),
+                zero_copy,
+                "zero-copy bytes under {design:?}/{strategy:?}"
             );
         }
     }
@@ -588,91 +626,6 @@ fn no_leaked_registrations_after_quiesce() {
             }
         }
     }
-}
-
-#[test]
-fn server_srq_serves_many_connections_from_one_pool() {
-    // Three clients on an SRQ-backed server: total posted buffers are
-    // 2x credits regardless of connection count (vs 3 x 2 x credits
-    // with per-QP queues), and traffic still flows correctly.
-    let mut sim = Simulation::new(93);
-    let h = sim.handle();
-    let fabric = Fabric::new(&h);
-    let mk = |id: u32| {
-        let node = NodeId(id);
-        let cpu = Cpu::new(&h, format!("cpu{id}"), 2, CpuCosts::default());
-        let mem = Rc::new(HostMem::new(node, PhysLayout::default(), h.fork_rng()));
-        let hca = Hca::new(&h, node, HcaConfig::sdr(), cpu, mem.clone(), &fabric);
-        (hca, mem)
-    };
-    let (s_hca, _) = mk(0);
-    let mut cfg = RpcRdmaConfig::solaris();
-    cfg.server_srq = true;
-    let server = RdmaRpcServer::new(
-        &h,
-        &s_hca,
-        Rc::new(ToyFs { seed: 3 }),
-        Registrar::new(&s_hca, StrategyKind::Dynamic),
-        cfg,
-    );
-    assert_eq!(
-        server.srq().unwrap().posted(),
-        cfg.credits as usize * 2,
-        "one shared pool"
-    );
-    let mut clients = Vec::new();
-    for i in 1..=3 {
-        let (c_hca, c_mem) = mk(i);
-        let (qc, qs) = connect(&c_hca, &s_hca);
-        server.serve_connection(qs);
-        clients.push((
-            RdmaRpcClient::new(
-                &h,
-                &c_hca,
-                qc,
-                Registrar::new(&c_hca, StrategyKind::Dynamic),
-                cfg,
-                PROG,
-                VERS,
-            ),
-            c_mem,
-        ));
-    }
-    let done = sim_core::sync::Semaphore::new(0);
-    for (ci, (client, mem)) in clients.iter().enumerate() {
-        for k in 0..8u64 {
-            let client = client.clone();
-            let done = done.clone();
-            let user = mem.alloc(32 * 1024);
-            user.write(0, Payload::synthetic(ci as u64 * 100 + k, 32 * 1024));
-            h.spawn(async move {
-                let got = client
-                    .call(
-                        2,
-                        Bytes::new(),
-                        BulkParams {
-                            send: Some((user, 0, 32 * 1024)),
-                            ..Default::default()
-                        },
-                    )
-                    .await
-                    .unwrap();
-                let mut dec = xdr::Decoder::new(&got.body);
-                assert_eq!(dec.get_u32().unwrap(), 32 * 1024);
-                done.add_permits(1);
-            });
-        }
-    }
-    sim.block_on(async move {
-        for _ in 0..24 {
-            done.acquire().await.forget();
-        }
-    });
-    assert_eq!(server.stats.ops.get(), 24);
-    let srq = server.srq().unwrap();
-    assert_eq!(srq.consumed(), 24, "all arrivals came from the shared pool");
-    // Buffers recycled: the pool is full again.
-    assert_eq!(srq.posted(), cfg.credits as usize * 2);
 }
 
 #[test]

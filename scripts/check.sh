@@ -29,11 +29,20 @@ cargo build --release --offline --manifest-path perfbench/Cargo.toml
 echo "==> simperf --smoke (disabled-tracing hot-path gate + span-tracing overhead gate <=10%)"
 cargo run --release -p bench --bin simperf -- --smoke
 
-echo "==> ablation --batching --smoke (zero-copy >= 1.3x; doorbells/op and interrupts/op < 1 at depth 4)"
+echo "==> ablation --batching --smoke (all-physical READ >= 1.3x over Dynamic; doorbells/op and interrupts/op < 1 at depth 4)"
+# Remove the committed artifacts first so the checks below see only
+# what these smokes wrote.
+rm -f results/BENCH_read.json results/BENCH_write.json
 cargo run --release -p bench --bin ablation -- --batching --smoke
 
-echo "==> ablation --write-path --smoke (zero-copy WRITE >= 1.3x; copied_bytes frozen; Cache still the one bouncing strategy)"
+echo "==> ablation --write-path --smoke (all-physical WRITE >= 1.3x over Dynamic; every byte zero-copy outside Cache; Cache still the one bouncing strategy)"
 cargo run --release -p bench --bin ablation -- --write-path --smoke
+for f in results/BENCH_read.json results/BENCH_write.json; do
+    [ -s "$f" ] || { echo "missing or empty $f" >&2; exit 1; }
+    if command -v python3 >/dev/null 2>&1; then
+        python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$f"
+    fi
+done
 
 echo "==> ablation --rfp --smoke (reply-slot gate: metadata p50 at or below Send baseline, server sends/op ~0 and doorbells/op 0 in RFP mode, same-seed determinism)"
 cargo run --release -p bench --bin ablation -- --rfp --smoke
