@@ -394,9 +394,12 @@ fn batching_smoke() {
         speedup >= 1.3,
         "all-physical READ speedup over Dynamic {speedup:.2}x below the 1.3x acceptance floor"
     );
+    // Each 4 KiB READ posts two WQEs (RDMA Write + reply Send), so a
+    // full depth-4 batch carries two ops: 0.5 doorbells/op, plus 1%.
+    // A backstop that rings partial batches early reads ~0.667.
     assert!(
-        r[2].doorbells_per_op < 1.0,
-        "doorbells/op {:.3} not < 1 at batch depth 4",
+        r[2].doorbells_per_op <= 0.505,
+        "doorbells/op {:.3} above 0.505 at batch depth 4",
         r[2].doorbells_per_op
     );
     assert!(

@@ -17,18 +17,18 @@
 //!
 //! Work requests are submitted to the HCA through a software pending
 //! queue that models **doorbell batching**: with
-//! [`HcaConfig::doorbell_batch`] > 1, posts accumulate and one doorbell
+//! [`Qp::set_doorbell_batch`] > 1, posts accumulate and one doorbell
 //! ring (one WQE-processing charge) submits the whole batch. Callers
 //! must [`Qp::flush`] at operation boundaries before waiting on a
-//! completion; the default depth of 1 rings on every post, preserving
-//! the classic behavior.
+//! completion, or bound the wait with [`Qp::ring_within`]; a QP starts
+//! at depth 1, which rings on every post (the classic behavior).
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
 
 use sim_core::sync::{channel, oneshot, OneshotSender, Receiver, Semaphore, Sender};
-use sim_core::{Counter, Payload, Sim};
+use sim_core::{Counter, Payload, Sim, SimDuration};
 
 use crate::config::HcaConfig;
 use crate::cq::{Completion, Cq};
@@ -151,9 +151,8 @@ pub(crate) struct QpInner {
     pub(crate) read_engine: Semaphore,
     /// Software pending queue: posted WQEs awaiting a doorbell ring.
     pending: RefCell<Vec<Wqe>>,
-    /// Rings per doorbell batch (see [`HcaConfig::doorbell_batch`]);
-    /// runtime-adjustable per QP so a server can batch while its peer
-    /// stays unbatched.
+    /// WQEs per doorbell ring (see [`Qp::set_doorbell_batch`]); set
+    /// per QP so a server can batch while its peer stays unbatched.
     doorbell_batch: Cell<usize>,
     /// Doorbells rung on this QP.
     doorbells: Cell<u64>,
@@ -208,7 +207,7 @@ impl Qp {
                 ord: Semaphore::new(cfg.max_ord),
                 read_engine: Semaphore::new(1),
                 pending: RefCell::new(Vec::new()),
-                doorbell_batch: Cell::new(cfg.doorbell_batch.max(1)),
+                doorbell_batch: Cell::new(1),
                 doorbells: Cell::new(0),
                 doorbell_metric: RefCell::new(None),
                 global_rkey,
@@ -461,10 +460,30 @@ impl Qp {
         let _ = self.inner.wqe_tx.send(batch);
     }
 
-    /// Override the doorbell batch depth for this QP (takes effect for
+    /// Set the doorbell batch depth for this QP (takes effect for
     /// subsequent posts; depth 0 is clamped to 1).
     pub fn set_doorbell_batch(&self, depth: usize) {
         self.inner.doorbell_batch.set(depth.max(1));
+    }
+
+    /// Doorbell backstop: if WQEs are pending, ring them at most `d`
+    /// from now unless a doorbell rings first (a filled batch or an
+    /// explicit flush carries them, so the backstop stands down rather
+    /// than ring a later partial batch early). A no-op when nothing is
+    /// pending, so at depth 1, or after a post that filled its batch,
+    /// no timer is armed.
+    pub fn ring_within(&self, d: SimDuration) {
+        if self.inner.pending.borrow().is_empty() {
+            return;
+        }
+        let qp = self.clone();
+        let rung = self.doorbells();
+        self.inner.sim.spawn(async move {
+            qp.inner.sim.sleep(d).await;
+            if qp.doorbells() == rung {
+                qp.flush();
+            }
+        });
     }
 
     /// Doorbells rung on this QP so far.

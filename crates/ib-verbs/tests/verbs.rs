@@ -804,3 +804,46 @@ fn doorbell_batching_rings_once_per_batch() {
     });
     assert_eq!(a.hca.doorbells(), 2);
 }
+
+#[test]
+fn ring_within_backstops_only_a_pending_batch() {
+    let mut sim = Simulation::new(15);
+    let h = sim.handle();
+    let (a, b) = two_hosts(&h);
+    let (qa, _qb) = connect(&a.hca, &b.hca);
+    qa.set_doorbell_batch(4);
+    let d = SimDuration::from_micros(10);
+    let target = b.mem.alloc(4096);
+    sim.block_on(async move {
+        let mr = b.hca.register(&target, 0, 4096, Access::REMOTE_WRITE).await;
+        let post = |n: u64| {
+            for i in 0..n {
+                let data = Payload::synthetic(3, 64);
+                qa.post_rdma_write(data, mr.addr(), mr.rkey(), WrId(i), false)
+                    .unwrap();
+            }
+        };
+        // A partial batch rings when the backstop expires, not before.
+        post(1);
+        qa.ring_within(d);
+        h.sleep(d - SimDuration::from_nanos(1)).await;
+        assert_eq!(qa.doorbells(), 0);
+        h.sleep(SimDuration::from_nanos(1)).await;
+        assert_eq!(qa.doorbells(), 1);
+        // After a post that filled its batch nothing is pending, so no
+        // backstop is armed to ring the next partial batch early.
+        post(4);
+        qa.ring_within(d);
+        post(1);
+        h.sleep(d * 2).await;
+        assert_eq!(qa.doorbells(), 2, "backstop armed after a full batch");
+        qa.flush();
+        // A backstop whose WQEs a filled batch carried stands down.
+        post(1);
+        qa.ring_within(d);
+        post(3);
+        post(1);
+        h.sleep(d * 2).await;
+        assert_eq!(qa.doorbells(), 4, "stale backstop rang a new batch");
+    });
+}

@@ -64,14 +64,17 @@ pub struct RpcRdmaConfig {
     /// Doorbell batch depth for server-side QPs: the server enqueues up
     /// to this many WQEs (RDMA Writes plus the reply Send) before
     /// ringing the doorbell once for the whole batch. `1` rings per
-    /// WQE (the paper-era default). The server always schedules a
-    /// backstop flush ([`crate::server::DOORBELL_FLUSH`] later) before
-    /// awaiting a completion, so no depth can deadlock an op.
+    /// WQE (the paper-era default). A reply left pending by a batch
+    /// that did not fill rings at most
+    /// [`crate::server::DOORBELL_FLUSH`] later
+    /// ([`ib_verbs::Qp::ring_within`]), so no depth can deadlock an op.
     pub server_doorbell_batch: usize,
-    /// OVERLOAD CONTROL: route admitted calls through the per-tenant
-    /// weighted fair dispatch queue ([`crate::qos`]) instead of
-    /// spawning one handler task per call. Off by default — the direct
-    /// path reproduces the historical dispatch order exactly.
+    /// OVERLOAD CONTROL: bound the server's dispatch gate at
+    /// `QOS_WORKERS` handler tasks; calls arriving past it wait in the
+    /// per-tenant weighted fair queue ([`crate::qos`]) or are shed.
+    /// Off by default — the gate is unbounded, every call starts on
+    /// arrival, and the historical dispatch order is reproduced
+    /// exactly. The load curve's shed on/off axis.
     pub qos_enabled: bool,
     /// REMOTE FETCHING PARADIGM (RFP): deposit small replies into a
     /// per-connection registered reply-slot ring instead of posting a

@@ -1,12 +1,14 @@
 //! Per-tenant weighted fair queueing for the server's dispatch path.
 //!
-//! Under closed-loop load the per-connection credit window (PR-4
-//! admission control) bounds how much work any client can have in
-//! flight, and one spawned handler task per call is fine. Under
-//! *open-loop* overload — offered load beyond capacity — the spawn-
-//! per-call model lets every admitted call queue on the serialized
-//! task queue with no arrival-order arbitration and no bound on
-//! sojourn time. [`TenantScheduler`] replaces that with an explicit
+//! Every call the server admits runs in its own handler task. Under
+//! closed-loop load the per-connection credit window (admission
+//! control) bounds how much work any client can have in flight, and
+//! starting every call on arrival is fine. Under *open-loop* overload
+//! — offered load beyond capacity — that lets every admitted call
+//! queue on the serialized task queue with no arrival-order
+//! arbitration and no bound on sojourn time. With QoS on, the server's
+//! dispatch gate runs at most `QOS_WORKERS` handler tasks, and calls
+//! arriving past that wait in a [`TenantScheduler`], an explicit
 //! dispatch queue:
 //!
 //! * **Weighted deficit round-robin across tenants.** Backlogged
@@ -31,8 +33,8 @@
 //!
 //! The CoDel-style sojourn deadline (shed a call that waited longer
 //! than the target before dispatch) lives with the caller: the queued
-//! item carries its enqueue time and the dispatch worker checks it
-//! against the target, so this module stays clock-free.
+//! item carries its enqueue time and the handler task that dequeues it
+//! checks it against the target, so this module stays clock-free.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};

@@ -43,7 +43,9 @@ use onc_rpc::msg::{decode_call, encode_reply};
 use onc_rpc::{AcceptStat, CallContext, DrcKey, DrcOutcome, DuplicateRequestCache, ReplyHeader};
 use sim_core::stats::Counter;
 use sim_core::sync::Semaphore;
-use sim_core::{MetricsRegistry, Payload, Resource, SgList, Sim, SimDuration, SimTime};
+use sim_core::{
+    MetricsRegistry, Payload, Resource, SgList, Sim, SimDuration, SimTime, DEFAULT_CLASS,
+};
 use xdr::{Encoder, XdrCodec};
 
 use crate::client::RFP_POLL_MAX;
@@ -60,11 +62,11 @@ use crate::service::RdmaService;
 /// window doubles back toward the server's base grant.
 const GOOD_OPS_PER_RESTORE: u32 = 8;
 
-/// Executor scheduling class the QoS dispatch workers run in. Nothing
+/// Executor scheduling class handler tasks run in under QoS. Nothing
 /// spawns here unless `cfg.qos_enabled`, so default-configuration
 /// schedules (and their pinned fingerprints) are untouched; with QoS
-/// on, dispatch workers interleave fairly with connection receive
-/// loops instead of queueing behind whatever woke first.
+/// on, handler tasks interleave fairly with connection receive loops
+/// instead of queueing behind whatever woke first.
 const QOS_DISPATCH_CLASS: usize = 1;
 
 /// Completed replies the duplicate request cache retains (bounded LRU;
@@ -76,14 +78,14 @@ const DRC_CAPACITY: usize = 1024;
 /// only that client).
 const VIOLATION_QUARANTINE: u32 = 8;
 
-/// Dispatcher tasks draining the QoS queue: the server's effective
-/// service concurrency under overload. Small on purpose: each worker
-/// occupies the serialized task queue when it dispatches, so the pool
-/// depth bounds how much in-service work a backlogged tenant can put
-/// in front of a just-arrived one — the fairness harness's honest-p99
-/// bound depends on it. Enough workers remain to cover per-op wire/CPU
-/// latency and keep the serial stage saturated.
-const QOS_WORKERS: u32 = 8;
+/// Handler tasks the dispatch gate lets run at once under QoS: the
+/// server's effective service concurrency under overload. Small on
+/// purpose: each handler occupies the serialized task queue when it
+/// dispatches, so this bounds how much in-service work a backlogged
+/// tenant can put in front of a just-arrived one — the fairness
+/// harness's honest-p99 bound depends on it. Enough handlers remain to
+/// cover per-op wire/CPU latency and keep the serial stage saturated.
+const QOS_WORKERS: u64 = 8;
 
 /// Calls the QoS queue holds across all tenants before enqueue itself
 /// sheds (busy reply, no dispatch).
@@ -111,10 +113,10 @@ const RFP_SLOT_SIZE: u64 = 512;
 /// `xid % nslots` slot).
 const RFP_SLOTS: u32 = 64;
 
-/// Backstop for doorbell batching (depth > 1 only): a WQE posted
-/// without filling the batch rings at most this much later, so
-/// concurrent ops posting within the window share the doorbell. The
-/// latency each op trades for the shared ring.
+/// Backstop for doorbell batching (depth > 1 only): a reply posted
+/// without filling the batch rings at most this much later
+/// ([`Qp::ring_within`]), so concurrent ops posting within the window
+/// share the doorbell. The latency each op trades for the shared ring.
 pub const DOORBELL_FLUSH: SimDuration = SimDuration::from_micros(32);
 
 /// Server-side statistics (shared across connections). The counters
@@ -145,9 +147,11 @@ pub struct ServerStats {
     /// receive-side scatter pipeline's output, mirroring
     /// [`ServerStats::zero_copy_bytes`] on the READ side.
     pub write_zero_copy_bytes: Rc<Counter>,
-    /// Operations currently being serviced.
+    /// Handler tasks running: the dispatch gate's count, raised when a
+    /// call starts and lowered when its task exits (a task that drains
+    /// queued calls counts once throughout).
     pub inflight: Cell<u64>,
-    /// High-water mark of concurrent operations.
+    /// High-water mark of `inflight`.
     pub peak_inflight: Cell<u64>,
     /// Retransmitted calls answered from the duplicate request cache
     /// (or parked on an in-progress original) instead of re-executing.
@@ -171,9 +175,10 @@ pub struct ServerStats {
     /// Read-Read exposures force-revoked by the TTL reaper because the
     /// client never sent `RDMA_DONE`.
     pub exposures_revoked: Rc<Counter>,
-    /// Calls admitted into the QoS dispatch queue.
+    /// Calls that found every handler busy and waited in the QoS
+    /// dispatch queue.
     pub qos_enqueued: Rc<Counter>,
-    /// Queued calls a QoS worker went on to service.
+    /// Queued calls a handler task went on to service.
     pub qos_dispatched: Rc<Counter>,
     /// Arrivals shed because the QoS queue was full.
     pub qos_shed_queue_full: Rc<Counter>,
@@ -181,7 +186,8 @@ pub struct ServerStats {
     pub qos_shed_tenant_backlog: Rc<Counter>,
     /// Queued calls shed because their sojourn passed the target delay.
     pub qos_shed_deadline: Rc<Counter>,
-    /// High-water mark of the QoS dispatch queue depth.
+    /// High-water mark of the QoS dispatch queue depth (calls that
+    /// waited; 0 if every call started on arrival).
     pub qos_peak_depth: Cell<u64>,
     /// Small replies deposited into reply-slot rings instead of being
     /// sent (RFP fast path): each one is a server doorbell, a send
@@ -248,24 +254,30 @@ impl ServerStats {
     }
 }
 
-/// One admitted call parked in the QoS dispatch queue.
+/// One admitted call: handed to a handler task on arrival, or parked
+/// in the dispatch queue until one is free.
 struct QueuedCall {
     hdr: RdmaHeader,
     body: Bytes,
     qp: Qp,
     conn: Rc<ConnState>,
-    /// Arrival instant; the dispatch worker sheds the call if its
-    /// sojourn exceeds [`QOS_TARGET_DELAY`] (CoDel-style).
+    /// Arrival instant; a handler sheds a queued call if its sojourn
+    /// exceeds [`QOS_TARGET_DELAY`] (CoDel-style).
     enq: SimTime,
 }
 
-/// Overload-control state (present when `cfg.qos_enabled`): the
-/// per-tenant weighted fair dispatch queue plus the signal the worker
-/// pool parks on.
-struct QosState {
+/// The server's one admission path (Figure 1's route from the
+/// interrupt handler to the task queue): every call runs in a handler
+/// task, at most `limit` of them at once; a call arriving past the
+/// limit waits in the per-tenant fair queue, and each handler drains
+/// that queue before it exits. With QoS off the limit is unbounded, so
+/// every call starts on arrival and the queue stays empty.
+struct Dispatch {
     sched: TenantScheduler<QueuedCall>,
-    /// One permit per queued call; idle workers park here.
-    work: Semaphore,
+    /// Handler tasks allowed to run at once.
+    limit: u64,
+    /// Executor scheduling class the handler tasks run in.
+    class: usize,
 }
 
 /// A server endpoint shared by all client connections: the service,
@@ -291,9 +303,9 @@ pub struct RdmaRpcServer {
     /// calls that miss the current epoch probe the previous one so
     /// retransmissions across a failover replay instead of re-executing.
     service_epoch: Cell<u32>,
-    /// Overload control (per-tenant fair dispatch queue + shedding);
-    /// `None` unless `cfg.qos_enabled`.
-    qos: Option<Rc<QosState>>,
+    /// The dispatch gate; `cfg.qos_enabled` bounds it (overload
+    /// control: fair queueing and shedding).
+    dispatch: Dispatch,
     /// Statistics.
     pub stats: Rc<ServerStats>,
 }
@@ -310,13 +322,12 @@ impl RdmaRpcServer {
         let drc = DuplicateRequestCache::new(DRC_CAPACITY);
         drc.bind_metrics(&sim.metrics(), "server.drc");
         let registry = sim.metrics();
-        let qos = cfg.qos_enabled.then(|| {
-            Rc::new(QosState {
-                sched: TenantScheduler::new(QOS_QUEUE_CAP, QOS_TENANT_BACKLOG),
-                work: Semaphore::new(0),
-            })
-        });
-        let server = Rc::new(RdmaRpcServer {
+        let (limit, class) = if cfg.qos_enabled {
+            (QOS_WORKERS, QOS_DISPATCH_CLASS)
+        } else {
+            (u64::MAX, DEFAULT_CLASS)
+        };
+        Rc::new(RdmaRpcServer {
             sim: sim.clone(),
             hca: hca.clone(),
             service,
@@ -326,21 +337,13 @@ impl RdmaRpcServer {
             credit_grant: Cell::new(cfg.credits),
             drc,
             service_epoch: Cell::new(0),
-            qos,
+            dispatch: Dispatch {
+                sched: TenantScheduler::new(QOS_QUEUE_CAP, QOS_TENANT_BACKLOG),
+                limit,
+                class,
+            },
             stats: Rc::new(ServerStats::new(&registry)),
-        });
-        if server.qos.is_some() {
-            for _ in 0..QOS_WORKERS {
-                let server = server.clone();
-                server
-                    .sim
-                    .clone()
-                    .spawn_class(QOS_DISPATCH_CLASS, async move {
-                        qos_worker(server).await;
-                    });
-            }
-        }
-        server
+        })
     }
 
     /// The serialized task-queue resource (for utilization reports).
@@ -361,26 +364,17 @@ impl RdmaRpcServer {
     }
 
     /// Set a tenant's weight in the QoS dispatch queue (dispatches per
-    /// fair-queue visit while backlogged; clamped to ≥ 1). No-op when
-    /// QoS is disabled. Tenants are keyed by peer node id.
+    /// fair-queue visit while backlogged; clamped to ≥ 1). No effect
+    /// when QoS is disabled: no call ever queues. Tenants are keyed by
+    /// peer node id.
     pub fn set_tenant_weight(&self, peer: u32, weight: u32) {
-        if let Some(qos) = &self.qos {
-            qos.sched.set_weight(peer, weight);
-        }
+        self.dispatch.sched.set_weight(peer, weight);
     }
 
-    /// Calls currently parked in the QoS dispatch queue (0 when QoS is
-    /// disabled) — the telemetry probe's queue-depth series.
+    /// Calls currently parked in the QoS dispatch queue (always 0 when
+    /// QoS is disabled) — the telemetry probe's queue-depth series.
     pub fn qos_depth(&self) -> u32 {
-        self.qos.as_ref().map(|q| q.sched.queued()).unwrap_or(0)
-    }
-
-    /// One tenant's lifetime QoS dispatch count (fairness accounting).
-    pub fn qos_dispatched(&self, peer: u32) -> u64 {
-        self.qos
-            .as_ref()
-            .map(|q| q.sched.dispatched(peer))
-            .unwrap_or(0)
+        self.dispatch.sched.queued()
     }
 
     /// The duplicate request cache (diagnostics).
@@ -465,7 +459,7 @@ struct ConnState {
     /// teardown). The reaper parks on this while the connection has no
     /// pending exposures — an idle timer loop would keep the whole
     /// simulation from ever quiescing.
-    exposure_signal: sim_core::sync::Semaphore,
+    exposure_signal: Semaphore,
     /// The RFP reply-slot ring, once built (`cfg.rfp_enabled` only).
     rfp: RefCell<Option<RfpRing>>,
     /// Ring construction in progress (registration awaits); calls
@@ -477,7 +471,7 @@ struct ConnState {
     rfp_ad_sent: Cell<bool>,
     /// Wakes the ring reaper when a ring is created (or at teardown);
     /// it parks here while the connection has no ring.
-    rfp_signal: sim_core::sync::Semaphore,
+    rfp_signal: Semaphore,
 }
 
 /// A connection's RFP reply-slot ring: registered, remotely readable
@@ -587,16 +581,16 @@ async fn connection_loop(server: Rc<RdmaRpcServer>, qp: Qp) {
         good_streak: Cell::new(0),
         closed: Cell::new(false),
         in_flight: Cell::new(0),
-        exposure_signal: sim_core::sync::Semaphore::new(0),
+        exposure_signal: Semaphore::new(0),
         rfp: RefCell::new(None),
         rfp_building: Cell::new(false),
         rfp_ad_sent: Cell::new(false),
-        rfp_signal: sim_core::sync::Semaphore::new(0),
+        rfp_signal: Semaphore::new(0),
     });
     if cfg.exposure_ttl > SimDuration::ZERO {
-        spawn_exposure_reaper(&server, &conn);
+        spawn_reaper(&server, &conn, Reap::Exposures);
         if cfg.rfp_enabled {
-            spawn_rfp_reaper(&server, &conn);
+            spawn_reaper(&server, &conn, Reap::RfpRing);
         }
     }
 
@@ -666,64 +660,16 @@ async fn connection_loop(server: Rc<RdmaRpcServer>, qp: Qp) {
                     continue;
                 }
                 conn.in_flight.set(conn.in_flight.get() + 1);
-                let peer = qp.peer_node().0;
-                if let Some(qos) = &server.qos {
-                    // Overload control: park the call in the per-tenant
-                    // fair dispatch queue (or shed it) instead of
-                    // spawning an unbounded handler task.
-                    let call = QueuedCall {
+                admit(
+                    &server,
+                    QueuedCall {
                         hdr,
                         body,
                         qp: qp.clone(),
                         conn: conn.clone(),
                         enq: server.sim.now(),
-                    };
-                    match qos.sched.enqueue(peer, call) {
-                        Ok(backlog) => {
-                            server.stats.qos_enqueued.inc();
-                            let depth = qos.sched.queued() as u64;
-                            if depth > server.stats.qos_peak_depth.get() {
-                                server.stats.qos_peak_depth.set(depth);
-                            }
-                            // Hog pressure: a tenant holding more than
-                            // half its backlog cap gets its credit
-                            // grant halved, pushing back through flow
-                            // control before the hard cap sheds.
-                            if backlog > QOS_TENANT_BACKLOG / 2 {
-                                let g = conn.granted.get();
-                                if g > 1 {
-                                    conn.granted.set((g / 2).max(1));
-                                    server.stats.qos_credit_clamps.inc();
-                                    server.sim.flight(
-                                        "qos",
-                                        "credit_clamp",
-                                        peer as u64,
-                                        backlog as u64,
-                                    );
-                                }
-                            }
-                            qos.work.add_permits(1);
-                        }
-                        Err((reason, call)) => {
-                            conn.in_flight.set(conn.in_flight.get() - 1);
-                            match reason {
-                                ShedReason::QueueFull => server.stats.qos_shed_queue_full.inc(),
-                                ShedReason::TenantBacklog => {
-                                    server.stats.qos_shed_tenant_backlog.inc()
-                                }
-                            }
-                            shed_call(&server, "shed_arrival", call);
-                        }
-                    }
-                } else {
-                    let server = server.clone();
-                    let qp = qp.clone();
-                    let conn = conn.clone();
-                    server.sim.clone().spawn(async move {
-                        handle_op(server.clone(), qp, conn.clone(), hdr, body, peer).await;
-                        conn.in_flight.set(conn.in_flight.get() - 1);
-                    });
-                }
+                    },
+                );
             }
         }
     }
@@ -751,22 +697,32 @@ async fn connection_loop(server: Rc<RdmaRpcServer>, qp: Qp) {
         .map(|(_, exp)| exp)
         .collect();
     for exp in leftover {
-        server
-            .stats
-            .exposures_pending
-            .set(server.stats.exposures_pending.get() - exp.bufs.len() as u64);
-        for io in exp.bufs {
-            server.stats.exposures_revoked.inc();
-            server.registrar.revoke(io).await;
-        }
+        revoke_exposure(&server, exp).await;
     }
 }
 
-/// Spawn the per-connection exposure reaper: every quarter-TTL it
-/// force-revokes Read-Read exposures whose `RDMA_DONE` is overdue. The
-/// TPT ledger records each invalidation as a revocation, so the attack
-/// (and the defense) shows up in `tpt.revocations`.
-fn spawn_exposure_reaper(server: &Rc<RdmaRpcServer>, conn: &Rc<ConnState>) {
+/// What a per-connection reaper revokes. The TPT ledger records each
+/// invalidation as a revocation, so an attack (and the defense) shows
+/// up in `tpt.revocations`.
+#[derive(Clone, Copy)]
+enum Reap {
+    /// Read-Read exposures whose `RDMA_DONE` is a TTL overdue.
+    Exposures,
+    /// The RFP reply-slot ring, once the connection has gone fully idle:
+    /// no calls in flight and no deposit for an exposure TTL *plus two
+    /// poll periods*. The margin covers the largest gap between a
+    /// deposit and the honest client's final backed-off fetch, so a
+    /// well-behaved client can never have a fetch refused; the next
+    /// inline reply re-advertises a fresh ring.
+    RfpRing,
+}
+
+/// Spawn a per-connection reaper (gated on `cfg.exposure_ttl`): every
+/// quarter-TTL it revokes what `watch` names as expired. With nothing
+/// to watch it parks on the watched signal — an idle timer loop would
+/// keep the whole simulation from ever quiescing — and it exits at
+/// teardown.
+fn spawn_reaper(server: &Rc<RdmaRpcServer>, conn: &Rc<ConnState>, watch: Reap) {
     let server = server.clone();
     let conn = conn.clone();
     let ttl = server.cfg.exposure_ttl;
@@ -777,10 +733,15 @@ fn spawn_exposure_reaper(server: &Rc<RdmaRpcServer>, conn: &Rc<ConnState>) {
             if conn.closed.get() {
                 break;
             }
-            if conn.pending_exposures.borrow().is_empty() {
-                // Nothing to watch: park until the next exposure (or
-                // teardown) instead of spinning the timer wheel.
-                conn.exposure_signal.acquire().await.forget();
+            let (idle, signal) = match watch {
+                Reap::Exposures => (
+                    conn.pending_exposures.borrow().is_empty(),
+                    &conn.exposure_signal,
+                ),
+                Reap::RfpRing => (conn.rfp.borrow().is_none(), &conn.rfp_signal),
+            };
+            if idle {
+                signal.acquire().await.forget();
                 continue;
             }
             sim.sleep(tick).await;
@@ -788,39 +749,56 @@ fn spawn_exposure_reaper(server: &Rc<RdmaRpcServer>, conn: &Rc<ConnState>) {
                 break;
             }
             let now = sim.now();
-            let expired: Vec<(u32, Exposure)> = {
-                let mut map = conn.pending_exposures.borrow_mut();
-                let overdue: Vec<u32> = map
-                    .iter()
-                    .filter(|(_, exp)| now - exp.since >= ttl)
-                    .map(|(xid, _)| *xid)
-                    .collect();
-                overdue
-                    .into_iter()
-                    .map(|xid| {
-                        let exp = map.remove(&xid).expect("overdue exposure vanished");
-                        (xid, exp)
-                    })
-                    .collect()
-            };
-            for (xid, exp) in expired {
-                server.sim.trace("rpc", || {
-                    format!(
-                        "server exposure ttl-revoke xid={xid} bufs={}",
-                        exp.bufs.len()
-                    )
-                });
-                server
-                    .stats
-                    .exposures_pending
-                    .set(server.stats.exposures_pending.get() - exp.bufs.len() as u64);
-                for io in exp.bufs {
-                    server.stats.exposures_revoked.inc();
-                    server.registrar.revoke(io).await;
+            match watch {
+                Reap::Exposures => {
+                    let expired: Vec<(u32, Exposure)> = {
+                        let mut map = conn.pending_exposures.borrow_mut();
+                        let overdue: Vec<u32> = map
+                            .iter()
+                            .filter(|(_, exp)| now - exp.since >= ttl)
+                            .map(|(xid, _)| *xid)
+                            .collect();
+                        overdue
+                            .into_iter()
+                            .map(|xid| (xid, map.remove(&xid).expect("overdue exposure")))
+                            .collect()
+                    };
+                    for (xid, exp) in expired {
+                        server.sim.trace("rpc", || {
+                            format!(
+                                "server exposure ttl-revoke xid={xid} bufs={}",
+                                exp.bufs.len()
+                            )
+                        });
+                        revoke_exposure(&server, exp).await;
+                    }
+                }
+                Reap::RfpRing => {
+                    let idle = ttl + RFP_POLL_MAX * 2;
+                    let expired =
+                        conn.in_flight.get() == 0
+                            && conn.rfp.borrow().as_ref().is_some_and(|r| {
+                                now.saturating_since(r.last_activity.get()) >= idle
+                            });
+                    let ring = expired.then(|| conn.rfp.borrow_mut().take()).flatten();
+                    if let Some(ring) = ring {
+                        revoke_ring(&server, &conn, ring).await;
+                    }
                 }
             }
         }
     });
+}
+
+/// Revoke an exposure's buffers: their rkeys were advertised, so the
+/// registrations are invalidated (ledger revocations), not released.
+async fn revoke_exposure(server: &RdmaRpcServer, exp: Exposure) {
+    let pending = &server.stats.exposures_pending;
+    pending.set(pending.get() - exp.bufs.len() as u64);
+    for io in exp.bufs {
+        server.stats.exposures_revoked.inc();
+        server.registrar.revoke(io).await;
+    }
 }
 
 /// Build the connection's reply-slot ring if it doesn't exist yet:
@@ -941,55 +919,6 @@ async fn revoke_ring(server: &Rc<RdmaRpcServer>, conn: &ConnState, ring: RfpRing
     server.registrar.revoke(ring.io).await;
 }
 
-/// Spawn the per-connection ring reaper: once the connection has gone
-/// fully idle — no calls in flight and no deposit for an exposure TTL
-/// *plus two poll periods* — revoke the ring's registration. The
-/// margin covers the largest gap between a deposit and the honest
-/// client's final backed-off fetch, so a well-behaved client can
-/// never have a fetch refused; the next inline reply re-advertises a
-/// fresh ring. Gated on `cfg.exposure_ttl` like the exposure reaper.
-fn spawn_rfp_reaper(server: &Rc<RdmaRpcServer>, conn: &Rc<ConnState>) {
-    let server = server.clone();
-    let conn = conn.clone();
-    let ttl = server.cfg.exposure_ttl;
-    let idle = ttl + RFP_POLL_MAX * 2;
-    let tick = (ttl / 4).max(SimDuration::from_micros(1));
-    let sim = server.sim.clone();
-    sim.clone().spawn(async move {
-        loop {
-            if conn.closed.get() {
-                break;
-            }
-            if conn.rfp.borrow().is_none() {
-                // No ring to watch: park until one is built (or
-                // teardown) instead of spinning the timer wheel.
-                conn.rfp_signal.acquire().await.forget();
-                continue;
-            }
-            sim.sleep(tick).await;
-            if conn.closed.get() {
-                break;
-            }
-            let expired = {
-                let ring = conn.rfp.borrow();
-                match ring.as_ref() {
-                    Some(r) => {
-                        conn.in_flight.get() == 0
-                            && sim.now().saturating_since(r.last_activity.get()) >= idle
-                    }
-                    None => false,
-                }
-            };
-            if expired {
-                let ring = conn.rfp.borrow_mut().take();
-                if let Some(ring) = ring {
-                    revoke_ring(&server, &conn, ring).await;
-                }
-            }
-        }
-    });
-}
-
 /// Answer a shed call immediately with a retryable busy reply
 /// (RFC 5531 `SYSTEM_ERR`), bypassing the duplicate request cache so a
 /// later retransmission of the same XID executes fresh. Fire-and-
@@ -1024,68 +953,103 @@ fn shed_call(server: &Rc<RdmaRpcServer>, why: &'static str, call: QueuedCall) {
     qp.flush();
 }
 
-/// One QoS dispatch worker: parks on the work signal, takes the next
-/// call in weighted fair order, sheds it if its queue sojourn blew the
-/// CoDel-style target, and otherwise services it inline — the worker
-/// pool size is the server's service concurrency under overload.
-async fn qos_worker(server: Rc<RdmaRpcServer>) {
-    let qos = server.qos.clone().expect("qos worker without qos state");
-    loop {
-        qos.work.acquire().await.forget();
-        let Some((peer, call)) = qos.sched.dequeue() else {
-            continue;
-        };
+/// Admit a call through the dispatch gate: start it at once if a
+/// handler slot is free, otherwise queue it in weighted fair order (or
+/// shed it if its tenant's backlog or the whole queue is full).
+fn admit(server: &Rc<RdmaRpcServer>, call: QueuedCall) {
+    let gate = &server.dispatch;
+    if server.stats.inflight.get() < gate.limit {
+        start(server, call);
+        return;
+    }
+    let conn = call.conn.clone();
+    let peer = call.qp.peer_node().0;
+    match gate.sched.enqueue(peer, call) {
+        Ok(backlog) => {
+            server.stats.qos_enqueued.inc();
+            let depth = gate.sched.queued() as u64;
+            if depth > server.stats.qos_peak_depth.get() {
+                server.stats.qos_peak_depth.set(depth);
+            }
+            // Hog pressure: a tenant holding more than half its backlog
+            // cap gets its credit grant halved, pushing back through
+            // flow control before the hard cap sheds.
+            if backlog > QOS_TENANT_BACKLOG / 2 {
+                let g = conn.granted.get();
+                if g > 1 {
+                    conn.granted.set((g / 2).max(1));
+                    server.stats.qos_credit_clamps.inc();
+                    server
+                        .sim
+                        .flight("qos", "credit_clamp", peer as u64, backlog as u64);
+                }
+            }
+        }
+        Err((reason, call)) => {
+            conn.in_flight.set(conn.in_flight.get() - 1);
+            match reason {
+                ShedReason::QueueFull => server.stats.qos_shed_queue_full.inc(),
+                ShedReason::TenantBacklog => server.stats.qos_shed_tenant_backlog.inc(),
+            }
+            shed_call(server, "shed_arrival", call);
+        }
+    }
+}
+
+/// Spawn one handler task for `call`. The task services it, then keeps
+/// taking queued calls until the queue is empty, and only then gives
+/// its gate slot back — so a call waits only while `limit` handlers
+/// are busy. Every admitted call passes through here: it is where
+/// inline run-to-completion of small ops would plug in.
+fn start(server: &Rc<RdmaRpcServer>, call: QueuedCall) {
+    let stats = &server.stats;
+    stats.inflight.set(stats.inflight.get() + 1);
+    stats
+        .peak_inflight
+        .set(stats.peak_inflight.get().max(stats.inflight.get()));
+    let server = server.clone();
+    let sim = server.sim.clone();
+    sim.spawn_class(server.dispatch.class, async move {
+        let mut next = Some(call);
+        while let Some(call) = next {
+            let conn = call.conn.clone();
+            handle_op(server.clone(), call).await;
+            conn.in_flight.set(conn.in_flight.get() - 1);
+            next = next_queued(&server);
+        }
+        server.stats.inflight.set(server.stats.inflight.get() - 1);
+    });
+}
+
+/// The next queued call in weighted fair order, shedding any whose
+/// queue sojourn already blew the CoDel-style target: answering "busy"
+/// now is cheaper for everyone than servicing stale work the client
+/// may have given up on.
+fn next_queued(server: &Rc<RdmaRpcServer>) -> Option<QueuedCall> {
+    while let Some((_, call)) = server.dispatch.sched.dequeue() {
         if server.sim.now() - call.enq > QOS_TARGET_DELAY {
-            // The queue already added more delay than the target;
-            // answering "busy" now is cheaper for everyone than
-            // servicing stale work the client may have given up on.
             call.conn.in_flight.set(call.conn.in_flight.get() - 1);
             server.stats.qos_shed_deadline.inc();
-            shed_call(&server, "shed_deadline", call);
+            shed_call(server, "shed_deadline", call);
             continue;
         }
         server.stats.qos_dispatched.inc();
-        let conn = call.conn.clone();
-        handle_op(
-            server.clone(),
-            call.qp,
-            call.conn,
-            call.hdr,
-            call.body,
-            peer,
-        )
-        .await;
-        conn.in_flight.set(conn.in_flight.get() - 1);
+        return Some(call);
     }
+    None
 }
 
-/// Decrements the in-flight gauge on every exit path of `handle_op`.
-struct InflightGuard(Rc<ServerStats>);
-impl Drop for InflightGuard {
-    fn drop(&mut self) {
-        self.0.inflight.set(self.0.inflight.get() - 1);
-    }
-}
-
-async fn handle_op(
-    server: Rc<RdmaRpcServer>,
-    qp: Qp,
-    conn: Rc<ConnState>,
-    hdr: RdmaHeader,
-    inline_body: Bytes,
-    peer: u32,
-) {
+async fn handle_op(server: Rc<RdmaRpcServer>, call: QueuedCall) {
+    let QueuedCall {
+        hdr,
+        body: inline_body,
+        qp,
+        conn,
+        ..
+    } = call;
+    let peer = qp.peer_node().0;
     let cfg = server.cfg;
     let cpu = server.hca.cpu().clone();
-    server.stats.inflight.set(server.stats.inflight.get() + 1);
-    server.stats.peak_inflight.set(
-        server
-            .stats
-            .peak_inflight
-            .get()
-            .max(server.stats.inflight.get()),
-    );
-    let _inflight = InflightGuard(server.stats.clone());
 
     server.sim.trace("rpc", || {
         format!("server op xid={} type={:?}", hdr.xid, hdr.msg_type)
@@ -1477,27 +1441,11 @@ async fn handle_op(
             if qp.post_send(Payload::real(wire), wr, true).is_err() {
                 false
             } else {
-                if cfg.server_doorbell_batch > 1 {
-                    // Doorbell moderation: if the batch doesn't fill
-                    // (which rings on its own), a backstop task rings
-                    // at most `DOORBELL_FLUSH` later, so ops
-                    // posting within the window share one doorbell.
-                    // The ring is always scheduled before the await,
-                    // so the completion cannot hang. (Depth 1 rang on
-                    // post already.) Any doorbell after this post
-                    // carries the reply with it — the backstop checks
-                    // the ring count and stands down rather than ring
-                    // a partial batch early.
-                    let qp2 = qp.clone();
-                    let sim2 = server.sim.clone();
-                    let rung = qp.doorbells();
-                    server.sim.spawn(async move {
-                        sim2.sleep(DOORBELL_FLUSH).await;
-                        if qp2.doorbells() == rung {
-                            qp2.flush();
-                        }
-                    });
-                }
+                // Doorbell moderation: a reply left pending by a batch
+                // that did not fill rings at most `DOORBELL_FLUSH`
+                // later, so ops posting within the window share one
+                // doorbell, and the completion cannot hang.
+                qp.ring_within(DOORBELL_FLUSH);
                 wait.await.is_ok()
             }
         }

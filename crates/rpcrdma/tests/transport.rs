@@ -5,13 +5,13 @@
 use std::rc::Rc;
 
 use bytes::Bytes;
-use ib_verbs::{connect, Fabric, Hca, HcaConfig, HostMem, NodeId, PhysLayout};
+use ib_verbs::{connect, Fabric, Hca, HcaConfig, HostMem, NodeId, PhysLayout, WireMsg};
 use onc_rpc::{AcceptStat, CallContext, LocalBoxFuture};
 use rpcrdma::{
     BulkParams, Design, RdmaDispatch, RdmaRpcClient, RdmaRpcServer, RdmaService, Registrar,
     RpcRdmaConfig, StrategyKind,
 };
-use sim_core::{Cpu, CpuCosts, Payload, Sim, Simulation};
+use sim_core::{Cpu, CpuCosts, MetricsRegistry, Payload, Sim, Simulation};
 
 const PROG: u32 = 100003;
 const VERS: u32 = 3;
@@ -79,18 +79,25 @@ struct TestBed {
     client_mem: Rc<HostMem>,
 }
 
+/// One simulated host on `fabric`: a 2-core CPU, host memory and an
+/// SDR HCA.
+fn host(sim: &Sim, fabric: &Fabric<WireMsg>, id: u32) -> (Hca, Rc<HostMem>) {
+    let node = NodeId(id);
+    let cpu = Cpu::new(sim, format!("cpu{id}"), 2, CpuCosts::default());
+    let mem = Rc::new(HostMem::new(node, PhysLayout::default(), sim.fork_rng()));
+    let hca = Hca::new(sim, node, HcaConfig::sdr(), cpu, mem.clone(), fabric);
+    (hca, mem)
+}
+
 fn setup(sim: &Sim, design: Design, strategy: StrategyKind) -> TestBed {
+    setup_with(sim, RpcRdmaConfig::solaris().with_design(design), strategy)
+}
+
+/// A client (node 0) and a server (node 1) on one connection.
+fn setup_with(sim: &Sim, cfg: RpcRdmaConfig, strategy: StrategyKind) -> TestBed {
     let fabric = Fabric::new(sim);
-    let mk = |id: u32| {
-        let node = NodeId(id);
-        let cpu = Cpu::new(sim, format!("cpu{id}"), 2, CpuCosts::default());
-        let mem = Rc::new(HostMem::new(node, PhysLayout::default(), sim.fork_rng()));
-        let hca = Hca::new(sim, node, HcaConfig::sdr(), cpu, mem.clone(), &fabric);
-        (hca, mem)
-    };
-    let (client_hca, client_mem) = mk(0);
-    let (server_hca, _server_mem) = mk(1);
-    let cfg = RpcRdmaConfig::solaris().with_design(design);
+    let (client_hca, client_mem) = host(sim, &fabric, 0);
+    let (server_hca, _server_mem) = host(sim, &fabric, 1);
     let (qc, qs) = connect(&client_hca, &server_hca);
     let server = RdmaRpcServer::new(
         sim,
@@ -723,13 +730,7 @@ fn client_crash_does_not_disturb_other_connections() {
     let mut sim = Simulation::new(91);
     let h = sim.handle();
     let fabric = Fabric::new(&h);
-    let mk = |id: u32| {
-        let node = NodeId(id);
-        let cpu = Cpu::new(&h, format!("cpu{id}"), 2, CpuCosts::default());
-        let mem = Rc::new(HostMem::new(node, PhysLayout::default(), h.fork_rng()));
-        let hca = Hca::new(&h, node, HcaConfig::sdr(), cpu, mem.clone(), &fabric);
-        (hca, mem)
-    };
+    let mk = |id: u32| host(&h, &fabric, id);
     let (c1_hca, _) = mk(1);
     let (c2_hca, _) = mk(2);
     let (s_hca, _) = mk(0);
@@ -804,13 +805,7 @@ fn msgp_small_writes_skip_registration_and_rdma_read() {
     let h = sim.handle();
     // Custom bed with MSGP enabled.
     let fabric = Fabric::new(&h);
-    let mk = |id: u32| {
-        let node = NodeId(id);
-        let cpu = Cpu::new(&h, format!("cpu{id}"), 2, CpuCosts::default());
-        let mem = Rc::new(HostMem::new(node, PhysLayout::default(), h.fork_rng()));
-        let hca = Hca::new(&h, node, HcaConfig::sdr(), cpu, mem.clone(), &fabric);
-        (hca, mem)
-    };
+    let mk = |id: u32| host(&h, &fabric, id);
     let (chca, cmem) = mk(0);
     let (shca, _) = mk(1);
     let mut cfg = RpcRdmaConfig::solaris();
@@ -874,13 +869,7 @@ fn msgp_large_writes_still_use_chunks() {
     let mut sim = Simulation::new(89);
     let h = sim.handle();
     let fabric = Fabric::new(&h);
-    let mk = |id: u32| {
-        let node = NodeId(id);
-        let cpu = Cpu::new(&h, format!("cpu{id}"), 2, CpuCosts::default());
-        let mem = Rc::new(HostMem::new(node, PhysLayout::default(), h.fork_rng()));
-        let hca = Hca::new(&h, node, HcaConfig::sdr(), cpu, mem.clone(), &fabric);
-        (hca, mem)
-    };
+    let mk = |id: u32| host(&h, &fabric, id);
     let (chca, cmem) = mk(0);
     let (shca, _) = mk(1);
     let mut cfg = RpcRdmaConfig::solaris();
@@ -934,13 +923,7 @@ fn suppressed_done_pins_server_buffers_indefinitely() {
     let mut sim = Simulation::new(90);
     let h = sim.handle();
     let fabric = Fabric::new(&h);
-    let mk = |id: u32| {
-        let node = NodeId(id);
-        let cpu = Cpu::new(&h, format!("cpu{id}"), 2, CpuCosts::default());
-        let mem = Rc::new(HostMem::new(node, PhysLayout::default(), h.fork_rng()));
-        let hca = Hca::new(&h, node, HcaConfig::sdr(), cpu, mem.clone(), &fabric);
-        (hca, mem)
-    };
+    let mk = |id: u32| host(&h, &fabric, id);
     let (chca, _cmem) = mk(0);
     let (shca, _) = mk(1);
     let mut cfg = RpcRdmaConfig::solaris().with_design(Design::ReadRead);
@@ -1018,43 +1001,9 @@ fn credit_window_bounds_outstanding_calls() {
 
 /// Build a testbed with the RFP hybrid transport enabled.
 fn setup_rfp(sim: &Sim, design: Design, strategy: StrategyKind) -> TestBed {
-    let fabric = Fabric::new(sim);
-    let mk = |id: u32| {
-        let node = NodeId(id);
-        let cpu = Cpu::new(sim, format!("cpu{id}"), 2, CpuCosts::default());
-        let mem = Rc::new(HostMem::new(node, PhysLayout::default(), sim.fork_rng()));
-        let hca = Hca::new(sim, node, HcaConfig::sdr(), cpu, mem.clone(), &fabric);
-        (hca, mem)
-    };
-    let (client_hca, client_mem) = mk(0);
-    let (server_hca, _server_mem) = mk(1);
     let mut cfg = RpcRdmaConfig::solaris().with_design(design);
     cfg.rfp_enabled = true;
-    let (qc, qs) = connect(&client_hca, &server_hca);
-    let server = RdmaRpcServer::new(
-        sim,
-        &server_hca,
-        Rc::new(ToyFs { seed: 42 }),
-        Registrar::new(&server_hca, strategy),
-        cfg,
-    );
-    server.serve_connection(qs);
-    let client = RdmaRpcClient::new(
-        sim,
-        &client_hca,
-        qc,
-        Registrar::new(&client_hca, strategy),
-        cfg,
-        PROG,
-        VERS,
-    );
-    TestBed {
-        client,
-        server,
-        client_hca,
-        server_hca,
-        client_mem,
-    }
+    setup_with(sim, cfg, strategy)
 }
 
 #[test]
@@ -1164,4 +1113,96 @@ fn rfp_saves_server_doorbells_and_interrupts() {
         "every deposit should have saved (at least) a server doorbell: \
          rpc={rpc_doorbells} rfp={rfp_doorbells}"
     );
+}
+
+/// One burst of inline echo calls against a fresh server: `nodes`
+/// client hosts (tenants), each filling a `credits`-call window at
+/// once. Every call must complete (a shed call backs off and
+/// re-offers). Returns the server, the registry, and the deepest
+/// `qos_depth()` seen as calls completed.
+fn echo_burst(qos: bool, nodes: u32, credits: u32) -> (Rc<RdmaRpcServer>, MetricsRegistry, u32) {
+    let mut sim = Simulation::new(77);
+    let h = sim.handle();
+    let fabric = Fabric::new(&h);
+    let mut cfg = RpcRdmaConfig::linux();
+    cfg.qos_enabled = qos;
+    cfg.credits = credits;
+    let (s_hca, _) = host(&h, &fabric, 0);
+    let server = RdmaRpcServer::new(
+        &h,
+        &s_hca,
+        Rc::new(ToyFs { seed: 5 }),
+        Registrar::new(&s_hca, StrategyKind::Dynamic),
+        cfg,
+    );
+    let done = sim_core::sync::Semaphore::new(0);
+    for n in 1..=nodes {
+        let (c_hca, _) = host(&h, &fabric, n);
+        let (qc, qs) = connect(&c_hca, &s_hca);
+        server.serve_connection(qs);
+        let registrar = Registrar::new(&c_hca, StrategyKind::Dynamic);
+        let client = RdmaRpcClient::new(&h, &c_hca, qc, registrar, cfg, PROG, VERS);
+        for i in 0..credits {
+            let (client, done) = (client.clone(), done.clone());
+            sim.spawn(async move {
+                let args = Bytes::from(format!("n{n}c{i}").into_bytes());
+                let r = client.call(3, args, BulkParams::default()).await;
+                r.expect("a shed call re-offers until serviced");
+                done.add_permits(1);
+            });
+        }
+    }
+    let (probe, calls) = (server.clone(), nodes * credits);
+    let deepest = sim.block_on(async move {
+        let mut deepest = 0;
+        for _ in 0..calls {
+            done.acquire().await.forget();
+            deepest = deepest.max(probe.qos_depth());
+        }
+        deepest
+    });
+    assert_eq!(server.stats.ops.get(), calls as u64, "each call runs once");
+    assert_eq!(server.stats.inflight.get(), 0, "handler tasks all exited");
+    (server, h.metrics(), deepest)
+}
+
+#[test]
+fn qos_gate_bounds_handlers_and_sheds_to_busy_replies() {
+    // 10 tenants x 32 calls: 8 start, the rest overflow the 256-call
+    // queue (queue-full sheds), and at 22 us per op the queue stands
+    // far past the 2 ms sojourn target (deadline sheds).
+    let (server, reg, _) = echo_burst(true, 10, 32);
+    let get = |name: &str| reg.get(name).unwrap_or(0);
+    assert_eq!(server.stats.peak_inflight.get(), 8, "gate caps handlers");
+    assert_eq!(server.stats.qos_peak_depth.get(), 256, "queue fills");
+    assert!(get("server.qos.shed.queue_full") > 0);
+    assert!(get("server.qos.shed.deadline") > 0);
+    // Every shed reaches its client as one busy reply.
+    assert_eq!(get("client.busy_replies"), server.stats.sheds());
+    // Only calls that waited are enqueued; each is then dispatched or
+    // shed on its sojourn.
+    let left = get("server.qos.dispatched") + get("server.qos.shed.deadline");
+    assert_eq!(get("server.qos.enqueued"), left);
+
+    // One tenant with a 96-call window: past its 64-call backlog cap
+    // the surplus sheds, and its grant is clamped.
+    let (server, reg, _) = echo_burst(true, 1, 96);
+    let get = |name: &str| reg.get(name).unwrap_or(0);
+    assert!(server.stats.peak_inflight.get() <= 8);
+    assert!(get("server.qos.shed.tenant_backlog") > 0);
+    assert_eq!(get("server.qos.shed.queue_full"), 0);
+    assert!(get("server.qos.credit_clamps") > 0);
+    assert_eq!(get("client.busy_replies"), server.stats.sheds());
+}
+
+#[test]
+fn qos_off_starts_every_call_on_arrival() {
+    let (server, reg, deepest) = echo_burst(false, 10, 32);
+    assert!(server.stats.peak_inflight.get() > 8, "gate is unbounded");
+    assert_eq!((deepest, server.stats.qos_peak_depth.get()), (0, 0));
+    for (name, v) in reg.snapshot() {
+        if name.starts_with("server.qos.") || name == "client.busy_replies" {
+            assert_eq!(v, 0, "{name} moved with QoS off");
+        }
+    }
 }

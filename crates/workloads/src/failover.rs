@@ -276,7 +276,9 @@ async fn run_inner(sim: &Sim, profile: &Profile, params: FailoverParams) -> Fail
     // Streaming telemetry sampler: one deterministic probe per bucket,
     // reading shared counters only (it never mutates sim state beyond
     // its own timer, so same-seed runs sample identically).
-    let probes = std::rc::Rc::new(std::cell::RefCell::new(Vec::<Probe>::new()));
+    let probes = std::rc::Rc::new(std::cell::RefCell::new(
+        Vec::<(SimTime, TimelineBucket)>::new(),
+    ));
     if params.timeline {
         let sim2 = sim.clone();
         let bed2 = bed.clone();
@@ -301,13 +303,14 @@ async fn run_inner(sim: &Sim, profile: &Profile, params: FailoverParams) -> Fail
                     .borrow()
                     .as_ref()
                     .map_or(0, |s| s.stats.credit_returns.get());
-                probes2.borrow_mut().push(Probe {
-                    at: sim2.now(),
+                let gauges = TimelineBucket {
                     in_flight: in_flight2.get(),
                     ring_occupancy: log_len.saturating_sub(applied),
                     wal_lag: log_len.saturating_sub(serving.repl.durable_seq()),
                     credit_grants: credits,
-                });
+                    ..TimelineBucket::default()
+                };
+                probes2.borrow_mut().push((sim2.now(), gauges));
             }
         });
     }
@@ -404,7 +407,8 @@ async fn run_inner(sim: &Sim, profile: &Profile, params: FailoverParams) -> Fail
         lat[i].as_micros()
     };
     let timeline = if params.timeline {
-        build_timeline(&ops, &probes.borrow(), start, params.record)
+        let record = |s: &OpSample| (s.start, s.end, if s.is_write { params.record } else { 0 });
+        bucket_timeline(ops.iter().map(record), &probes.borrow(), start)
     } else {
         Vec::new()
     };
@@ -493,74 +497,65 @@ impl OpLog {
     }
 }
 
-/// One sampler probe of the shared cluster counters.
-#[derive(Clone, Copy)]
-struct Probe {
-    at: SimTime,
-    in_flight: u64,
-    ring_occupancy: u64,
-    wal_lag: u64,
-    credit_grants: u64,
+impl TimelineRow for TimelineBucket {
+    fn completions(&mut self, t_us: u64, ops: u64, goodput_mbps: f64, p99_us: u64) {
+        (self.t_us, self.ops, self.goodput_mbps, self.p99_us) = (t_us, ops, goodput_mbps, p99_us);
+    }
 }
 
-/// Merge per-op completion samples and sampler probes into the
-/// fixed-width telemetry timeline.
-fn build_timeline(
-    ops: &[OpSample],
-    probes: &[Probe],
+/// A row of a streaming telemetry timeline: [`bucket_timeline`] fills
+/// the completion columns; a sampler probe (a row holding only the
+/// gauge columns) supplies the rest.
+pub(crate) trait TimelineRow: Copy + Default {
+    /// Set the completion columns of the bucket starting at `t_us`.
+    fn completions(&mut self, t_us: u64, ops: u64, goodput_mbps: f64, p99_us: u64);
+}
+
+/// Merge completions `(start, end, payload bytes)` and time-ordered
+/// sampler probes into [`TIMELINE_BUCKET_US`]-wide rows. A completion
+/// lands in the bucket of its end; each bucket carries the latest probe
+/// at or before its end, so a bucket with no probe of its own inherits
+/// the previous gauge levels (they are level-style, not deltas).
+pub(crate) fn bucket_timeline<R: TimelineRow>(
+    ops: impl Iterator<Item = (SimTime, SimTime, u64)>,
+    probes: &[(SimTime, R)],
     start: SimTime,
-    record: u64,
-) -> Vec<TimelineBucket> {
-    let width = SimDuration::from_micros(TIMELINE_BUCKET_US);
-    let end = ops
-        .iter()
-        .map(|s| s.end)
-        .chain(probes.iter().map(|p| p.at))
-        .max()
-        .unwrap_or(start);
-    let n = ((end - start).as_micros() / TIMELINE_BUCKET_US + 1) as usize;
-    let mut out: Vec<TimelineBucket> = (0..n)
-        .map(|i| TimelineBucket {
-            t_us: i as u64 * TIMELINE_BUCKET_US,
-            ..TimelineBucket::default()
-        })
-        .collect();
-    let mut lats: Vec<Vec<SimDuration>> = vec![Vec::new(); n];
-    for s in ops {
-        let i = ((s.end - start).as_micros() / TIMELINE_BUCKET_US) as usize;
-        let b = &mut out[i];
-        b.ops += 1;
-        if s.is_write {
-            b.goodput_mbps += record as f64;
+) -> Vec<R> {
+    let index = |t: SimTime| ((t - start).as_micros() / TIMELINE_BUCKET_US) as usize;
+    let mut buckets: Vec<(u64, Vec<SimDuration>)> = Vec::new();
+    for (t0, t1, bytes) in ops {
+        let i = index(t1);
+        if i >= buckets.len() {
+            buckets.resize(i + 1, (0, Vec::new()));
         }
-        lats[i].push(s.end - s.start);
+        buckets[i].0 += bytes;
+        buckets[i].1.push(t1 - t0);
     }
-    let bucket_secs = width.as_nanos() as f64 / 1e9;
-    for (b, mut l) in out.iter_mut().zip(lats) {
-        b.goodput_mbps = b.goodput_mbps / bucket_secs / 1e6;
-        l.sort();
-        if !l.is_empty() {
-            b.p99_us = l[(l.len() - 1) * 99 / 100].as_micros();
+    let probed = probes.iter().map(|(at, _)| index(*at) + 1).max();
+    let n = buckets.len().max(probed.unwrap_or(0)).max(1);
+    buckets.resize(n, (0, Vec::new()));
+    let bucket_secs = TIMELINE_BUCKET_US as f64 / 1e6;
+    let mut probes = probes.iter().peekable();
+    let mut row = R::default();
+    let mut out = Vec::with_capacity(buckets.len());
+    for (i, (bytes, mut lats)) in buckets.into_iter().enumerate() {
+        while let Some((_, p)) = probes.next_if(|(at, _)| index(*at) <= i) {
+            row = *p;
         }
-    }
-    // Each bucket carries the latest probe at or before its end; a
-    // bucket with no probe of its own inherits the previous gauge
-    // levels (the counters are level-style, not deltas).
-    let mut pi = 0;
-    let mut last: Option<Probe> = None;
-    for (i, b) in out.iter_mut().enumerate() {
-        while pi < probes.len()
-            && ((probes[pi].at - start).as_micros() / TIMELINE_BUCKET_US) as usize <= i
-        {
-            last = Some(probes[pi]);
-            pi += 1;
-        }
-        if let Some(p) = last {
-            b.in_flight = p.in_flight;
-            b.ring_occupancy = p.ring_occupancy;
-            b.wal_lag = p.wal_lag;
-            b.credit_grants = p.credit_grants;
-        }
+        lats.sort();
+        let p99_us = match lats.len() {
+            0 => 0,
+            n => lats[(n - 1) * 99 / 100].as_micros(),
+        };
+        let mbps = bytes as f64 / bucket_secs / 1e6;
+        let mut b = row;
+        b.completions(
+            i as u64 * TIMELINE_BUCKET_US,
+            lats.len() as u64,
+            mbps,
+            p99_us,
+        );
+        out.push(b);
     }
     out
 }

@@ -33,6 +33,7 @@ use onc_rpc::{RpcError, TransportError};
 use rpcrdma::{Design, StrategyKind};
 
 use crate::chaos::fingerprint;
+use crate::failover::{bucket_timeline, TimelineRow};
 use crate::profiles::Profile;
 use crate::testbed::{build_rdma_custom, Backend, RdmaOpts, Testbed};
 
@@ -651,7 +652,7 @@ async fn run_inner(sim: &Sim, profile: &Profile, params: OpenLoopParams) -> Open
 
     // Streaming telemetry sampler (PR-8 pattern: one deterministic
     // probe per bucket reading shared counters only).
-    let probes = Rc::new(RefCell::new(Vec::<Probe>::new()));
+    let probes = Rc::new(RefCell::new(Vec::<(SimTime, LoadBucket)>::new()));
     if params.timeline {
         let sim2 = sim.clone();
         let rpc2 = rpc.clone();
@@ -664,13 +665,14 @@ async fn run_inner(sim: &Sim, profile: &Profile, params: OpenLoopParams) -> Open
                 if shared2.stop.get() {
                     break;
                 }
-                probes2.borrow_mut().push(Probe {
-                    at: sim2.now(),
+                let gauges = LoadBucket {
                     in_flight: shared2.outstanding.iter().map(|c| c.get() as u64).sum(),
                     queue_depth: rpc2.qos_depth() as u64,
                     server_sheds: rpc2.stats.sheds(),
                     client_sheds: shared2.client_sheds.get(),
-                });
+                    ..LoadBucket::default()
+                };
+                probes2.borrow_mut().push((sim2.now(), gauges));
             }
         });
     }
@@ -839,25 +841,14 @@ async fn run_inner(sim: &Sim, profile: &Profile, params: OpenLoopParams) -> Open
     let window_bytes: u64 = in_window.iter().map(|s| s.bytes).sum();
 
     let timeline = if params.timeline {
-        build_load_timeline(&samples, &probes.borrow(), start)
+        let ops = samples.iter().map(|s| (s.start, s.end, s.bytes));
+        bucket_timeline(ops, &probes.borrow(), start)
     } else {
         Vec::new()
     };
 
-    let busy_replies = sim
-        .metrics()
-        .snapshot()
-        .iter()
-        .find(|(k, _)| k == "client.busy_replies")
-        .map(|(_, v)| *v)
-        .unwrap_or(0);
-    let deadline_sheds = sim
-        .metrics()
-        .snapshot()
-        .iter()
-        .find(|(k, _)| k == "server.qos.shed.deadline")
-        .map(|(_, v)| *v)
-        .unwrap_or(0);
+    let busy_replies = sim.metrics().get("client.busy_replies").unwrap_or(0);
+    let deadline_sheds = sim.metrics().get("server.qos.shed.deadline").unwrap_or(0);
 
     OpenLoopResult {
         offered: shared.offered.get(),
@@ -900,62 +891,11 @@ async fn run_inner(sim: &Sim, profile: &Profile, params: OpenLoopParams) -> Open
     }
 }
 
-/// One sampler probe of the shared load counters.
-#[derive(Clone, Copy)]
-struct Probe {
-    at: SimTime,
-    in_flight: u64,
-    queue_depth: u64,
-    server_sheds: u64,
-    client_sheds: u64,
-}
-
-/// Merge completion samples and probes into the fixed-width timeline.
-fn build_load_timeline(ops: &[OpSample], probes: &[Probe], start: SimTime) -> Vec<LoadBucket> {
-    let width_us = crate::TIMELINE_BUCKET_US;
-    let end = ops
-        .iter()
-        .map(|s| s.end)
-        .chain(probes.iter().map(|p| p.at))
-        .max()
-        .unwrap_or(start);
-    let n = ((end - start).as_micros() / width_us + 1) as usize;
-    let mut out: Vec<LoadBucket> = (0..n)
-        .map(|i| LoadBucket {
-            t_us: i as u64 * width_us,
-            ..LoadBucket::default()
-        })
-        .collect();
-    let mut lats: Vec<Vec<SimDuration>> = vec![Vec::new(); n];
-    for s in ops {
-        let i = ((s.end - start).as_micros() / width_us) as usize;
-        out[i].completions += 1;
-        out[i].goodput_mbps += s.bytes as f64;
-        lats[i].push(s.end - s.start);
+impl TimelineRow for LoadBucket {
+    fn completions(&mut self, t_us: u64, ops: u64, goodput_mbps: f64, p99_us: u64) {
+        (self.t_us, self.completions, self.goodput_mbps, self.p99_us) =
+            (t_us, ops, goodput_mbps, p99_us);
     }
-    let bucket_secs = width_us as f64 / 1e6;
-    for (b, mut l) in out.iter_mut().zip(lats) {
-        b.goodput_mbps = b.goodput_mbps / bucket_secs / 1e6;
-        l.sort();
-        if !l.is_empty() {
-            b.p99_us = l[(l.len() - 1) * 99 / 100].as_micros();
-        }
-    }
-    let mut pi = 0;
-    let mut last: Option<Probe> = None;
-    for (i, b) in out.iter_mut().enumerate() {
-        while pi < probes.len() && ((probes[pi].at - start).as_micros() / width_us) as usize <= i {
-            last = Some(probes[pi]);
-            pi += 1;
-        }
-        if let Some(p) = last {
-            b.in_flight = p.in_flight;
-            b.queue_depth = p.queue_depth;
-            b.server_sheds = p.server_sheds;
-            b.client_sheds = p.client_sheds;
-        }
-    }
-    out
 }
 
 /// Render the timeline as CSV (forensics artifact).
